@@ -14,7 +14,7 @@ import sys
 
 from . import grouptheory, segre, wordposet, wreath
 from .cyclotomic import cyclotomic_to_json
-from .errors import QuasilangError
+from .errors import QuasilangError, ValidationError
 from .genfun import (
     FactoredRational,
     congruence_filter,
@@ -260,9 +260,17 @@ def segre_to_json(c: segre.SimplicialComplex) -> dict:
     return c.to_json()
 
 
+def _at_least(req, field: str, least: int) -> int:
+    value = int(req[field])
+    if value < least:
+        raise ValidationError(f"{field} must be at least {least}, got {value}")
+    return value
+
+
 def _cmd_segre_homology(req):
     x = segre.SimplicialComplex.from_json(req["complex"])
-    data = segre.homology_ranks(x, int(req.get("i_max", x.dim)))
+    i_max = _at_least(req, "i_max", 0) if "i_max" in req else x.dim
+    data = segre.homology_ranks(x, i_max)
     return {"ranks": {str(k): v for k, v in sorted(data.ranks.items())}}
 
 
@@ -275,7 +283,8 @@ def _cmd_segre_series(req):
         maps.append({segre_from_vertex(k): segre_from_vertex(v) for k, v in perm})
     action = segre.GroupAction(table, x, maps)
     budget = int(req.get("budget", segre.DEFAULT_SIMPLEX_BUDGET))
-    data = segre.equivariant_hilbert_data(action, int(req["i"]), int(req.get("nmax", 2)), budget)
+    nmax = _at_least(req, "nmax", 1) if "nmax" in req else 2
+    data = segre.equivariant_hilbert_data(action, _at_least(req, "i", 0), nmax, budget)
     return [
         [[list(content), mult] for content, mult in sorted(poly.items())] for poly in data
     ]

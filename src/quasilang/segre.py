@@ -3,8 +3,10 @@ character data of product-group actions on iterated powers.
 
 A subset S of X_0 x Y_0 is a simplex of the Segre product exactly when both
 projections are simplices of the same cardinality as S.  Homology is over Q
-by exact Gaussian elimination; equivariant traces are computed by lifting
-group elements to signed chain maps and projecting onto a cycle basis.
+by one sparse exact elimination, factored once per degree: boundary columns
+and cycles go into an echelon form whose rows remember the cycles they came
+from.  Equivariant traces lift group elements to signed chain maps and reduce
+the image of each basis cycle against that stored form.
 """
 
 from __future__ import annotations
@@ -47,16 +49,14 @@ class SimplicialComplex:
     def simplex_count(self) -> int:
         return sum(len(v) for v in self.simplices.values())
 
-    def has_simplex(self, s) -> bool:
-        key = tuple(sorted(s))
-        return key in set(self.simplices.get(len(key) - 1, ()))
-
     def facets(self) -> list[tuple]:
+        """Simplices that are no face of another.  The complex is closed under
+        faces, so it is enough to look one dimension up."""
         out = []
-        all_simps = {s for group in self.simplices.values() for s in group}
-        for s in all_simps:
-            if not any(s != t and set(s) <= set(t) for t in all_simps):
-                out.append(s)
+        for d, group in self.simplices.items():
+            up = self.simplices.get(d + 1, ())
+            covered = {t[:k] + t[k + 1 :] for t in up for k in range(len(t))}
+            out.extend(s for s in group if s not in covered)
         return sorted(out)
 
     def to_json(self) -> dict:
@@ -82,7 +82,6 @@ def segre_product(x: SimplicialComplex, y: SimplicialComplex) -> SimplicialCompl
     for d in x.simplices:
         if d not in y.simplices:
             continue
-        k = d + 1
         for sx in x.simplices[d]:
             for sy in y.simplices[d]:
                 for perm in itertools.permutations(sy):
@@ -126,194 +125,128 @@ def iterated_segre(x: SimplicialComplex, n: int, budget: int = DEFAULT_SIMPLEX_B
 
 
 # ---------------------------------------------------------------------------
-# exact linear algebra over Q
+# sparse exact elimination over Q
+#
+# A vector is a dict from index to nonzero value.  Entries stay ints while
+# every pivot is +-1 and become Fractions only where a pivot is not.
 
 
-def _rank(matrix: list[list[Fraction]]) -> int:
-    if not matrix or not matrix[0]:
-        return 0
-    m = [row[:] for row in matrix]
-    rows, cols = len(m), len(m[0])
-    rank = 0
-    for col in range(cols):
-        pivot = next((r for r in range(rank, rows) if m[r][col] != 0), None)
-        if pivot is None:
-            continue
-        m[rank], m[pivot] = m[pivot], m[rank]
-        inv = Fraction(1) / m[rank][col]
-        m[rank] = [v * inv for v in m[rank]]
-        for r in range(rows):
-            if r != rank and m[r][col] != 0:
-                factor = m[r][col]
-                m[r] = [a - factor * b for a, b in zip(m[r], m[rank])]
-        rank += 1
-        if rank == rows:
-            break
-    return rank
+def _axpy(target: dict, c, source: dict) -> None:
+    """target += c * source, dropping the entries that cancel (c != 0)."""
+    for k, v in source.items():
+        value = target.get(k, 0) + c * v
+        if value:
+            target[k] = value
+        else:
+            del target[k]
 
 
-def _nullspace(matrix: list[list[Fraction]], n_cols: int) -> list[list[Fraction]]:
-    """Basis of the kernel (as column vectors) by reduced row echelon form."""
-    m = [row[:] for row in matrix]
-    rows = len(m)
-    pivots = []
-    rank = 0
-    for col in range(n_cols):
-        pivot = next((r for r in range(rank, rows) if m[r][col] != 0), None)
-        if pivot is None:
-            continue
-        m[rank], m[pivot] = m[pivot], m[rank]
-        inv = Fraction(1) / m[rank][col]
-        m[rank] = [v * inv for v in m[rank]]
-        for r in range(rows):
-            if r != rank and m[r][col] != 0:
-                factor = m[r][col]
-                m[r] = [a - factor * b for a, b in zip(m[r], m[rank])]
-        pivots.append(col)
-        rank += 1
-        if rank == rows:
-            break
-    free = [c for c in range(n_cols) if c not in pivots]
-    basis = []
-    for f in free:
-        vec = [Fraction(0)] * n_cols
-        vec[f] = Fraction(1)
-        for r, p in enumerate(pivots):
-            vec[p] = -m[r][f]
-        basis.append(vec)
-    return basis
+class _Echelon:
+    """Rows in echelon form, each keyed by its largest index, where it is 1.
 
+    A vector inserted with tags {t: 1} is the tagged input u_t; one inserted
+    with {} is untagged.  Each row is a combination of inputs and carries the
+    coefficients of the tagged ones, so whatever reduces to zero is written
+    in the tagged inputs modulo the untagged ones."""
 
-def _solve(columns: list[list[Fraction]], target: list[Fraction]) -> list[Fraction] | None:
-    """Solve sum_j a_j columns[j] = target exactly; None if inconsistent."""
-    if not columns:
-        return [] if all(v == 0 for v in target) else None
-    rows = len(columns[0])
-    aug = [[col[r] for col in columns] + [target[r]] for r in range(rows)]
-    n = len(columns)
-    rank = 0
-    pivots = []
-    for col in range(n):
-        pivot = next((r for r in range(rank, rows) if aug[r][col] != 0), None)
-        if pivot is None:
-            continue
-        aug[rank], aug[pivot] = aug[pivot], aug[rank]
-        inv = Fraction(1) / aug[rank][col]
-        aug[rank] = [v * inv for v in aug[rank]]
-        for r in range(rows):
-            if r != rank and aug[r][col] != 0:
-                factor = aug[r][col]
-                aug[r] = [a - factor * b for a, b in zip(aug[r], aug[rank])]
-        pivots.append(col)
-        rank += 1
-    for r in range(rank, rows):
-        if aug[r][n] != 0:
-            return None
-    out = [Fraction(0)] * n
-    for r, p in enumerate(pivots):
-        out[p] = aug[r][n]
-    return out
+    def __init__(self):
+        self.rows: dict[int, tuple[dict, dict]] = {}
+
+    def reduce(self, vec: dict, tags: dict) -> tuple[dict, dict]:
+        """Subtract rows until the largest index of vec has none.  Returns
+        (r, c) with r = vec + sum_t (c[t] - tags[t]) u_t modulo untagged inputs."""
+        vec, tags = dict(vec), dict(tags)
+        while vec:
+            p = max(vec)
+            row = self.rows.get(p)
+            if row is None:
+                break
+            c = -vec[p]
+            _axpy(vec, c, row[0])
+            _axpy(tags, c, row[1])
+        return vec, tags
+
+    def insert(self, vec: dict, tags: dict) -> dict | None:
+        """Reduce vec; if anything is left, store it as a row and return None.
+        Otherwise return the tags c it reduced to: sum_t c[t] u_t = 0 modulo
+        untagged inputs, with vec counted as sum_t tags[t] u_t."""
+        vec, tags = self.reduce(vec, tags)
+        if not vec:
+            return tags
+        p = max(vec)
+        lead = vec[p]
+        if lead != 1:
+            inv = -1 if lead == -1 else 1 / Fraction(lead)
+            vec = {k: v * inv for k, v in vec.items()}
+            tags = {k: v * inv for k, v in tags.items()}
+        self.rows[p] = (vec, tags)
+        return None
 
 
 # ---------------------------------------------------------------------------
 # homology
 
 
-def boundary_matrix(x: SimplicialComplex, i: int) -> list[list[Fraction]]:
-    """The map C_i -> C_(i-1); rows indexed by (i-1)-simplices."""
+def boundary_matrix(x: SimplicialComplex, i: int) -> list[dict]:
+    """The map C_i -> C_(i-1) as sparse columns, one per i-simplex: the row
+    index of each (i-1)-face -> its sign."""
     top = x.simplices.get(i, [])
-    bottom = x.simplices.get(i - 1, [])
-    index = {s: r for r, s in enumerate(bottom)}
-    matrix = [[Fraction(0)] * len(top) for _ in bottom]
-    for c, s in enumerate(top):
-        for k in range(len(s)):
-            face = s[:k] + s[k + 1 :]
-            if face:
-                matrix[index[face]][c] = Fraction((-1) ** k)
-    return matrix
+    if i == 0:
+        return [{} for _ in top]
+    index = {s: r for r, s in enumerate(x.simplices.get(i - 1, []))}
+    return [{index[s[:k] + s[k + 1 :]]: (-1) ** k for k in range(len(s))} for s in top]
 
 
 class HomologyData:
-    """Per degree: the rank and a cycle basis independent modulo boundaries."""
+    """Per degree: the rank, a basis of cycles (sparse over the i-simplices)
+    independent modulo boundaries, and the echelon form of the boundaries
+    and that basis, factored once per degree.  The row tags of the form
+    are positions in the basis."""
 
-    def __init__(self, ranks: dict, cycle_bases: dict):
+    def __init__(self, ranks: dict, cycle_bases: dict, forms: dict):
         self.ranks = ranks
         self.cycle_bases = cycle_bases
+        self.forms = forms
 
     def rank(self, i: int) -> int:
         return self.ranks.get(i, 0)
 
 
-def _select_independent_mod(candidates, base_cols):
-    """Greedily keep the candidates that are independent modulo span(base_cols)."""
-    elim: list[tuple[int, list[Fraction]]] = []
-
-    def reduce(vec):
-        v = list(vec)
-        for p, b in elim:
-            if v[p] != 0:
-                f = v[p] / b[p]
-                v = [a - f * c for a, c in zip(v, b)]
-        return v
-
-    def insert(vec) -> bool:
-        v = reduce(vec)
-        p = next((k for k, val in enumerate(v) if val != 0), None)
-        if p is None:
-            return False
-        elim.append((p, v))
-        return True
-
-    for col in base_cols:
-        insert(col)
-    return [z for z in candidates if insert(z)]
-
-
 def check_boundary_squares_to_zero(x: SimplicialComplex) -> None:
+    lower = boundary_matrix(x, 1)
     for i in range(1, x.dim + 1):
-        di = boundary_matrix(x, i)
-        di1 = boundary_matrix(x, i + 1)
-        if not di or not di1 or not di1[0]:
-            continue
-        for c in range(len(di1[0])):
-            col = [row[c] for row in di1]
-            out = [sum(di[r][k] * col[k] for k in range(len(col))) for r in range(len(di))]
-            if any(v != 0 for v in out):
+        upper = boundary_matrix(x, i + 1)
+        for col in upper:
+            out: dict = {}
+            for r, c in col.items():
+                _axpy(out, c, lower[r])
+            if out:
                 raise ValidationError("boundary composed with boundary is nonzero")
+        lower = upper
 
 
 def homology_ranks(x: SimplicialComplex, i_max: int) -> HomologyData:
     """Ranks of rational simplicial homology up to degree i_max, with a cycle
-    basis per degree (columns over the i-simplices)."""
+    basis per degree and the echelon form that expresses cycles in it."""
     check_boundary_squares_to_zero(x)
-    ranks = {}
-    bases = {}
+    ranks, bases, forms = {}, {}, {}
+    d_i = boundary_matrix(x, 0)
     for i in range(i_max + 1):
-        chains = x.simplices.get(i, [])
-        if not chains:
-            ranks[i] = 0
-            bases[i] = []
-            continue
-        d_i = boundary_matrix(x, i)
-        if i == 0:
-            cycles = [
-                [Fraction(1) if r == k else Fraction(0) for r in range(len(chains))]
-                for k in range(len(chains))
-            ]
-        else:
-            cycles = _nullspace(d_i, len(chains))
         d_up = boundary_matrix(x, i + 1)
-        boundary_cols = []
-        if d_up and d_up[0]:
-            boundary_cols = [
-                [d_up[r][c] for r in range(len(chains))] for c in range(len(d_up[0]))
-            ]
-        boundary_rank = _rank(d_up) if d_up and d_up[0] else 0
-        ranks[i] = len(cycles) - boundary_rank
-        bases[i] = _select_independent_mod(cycles, boundary_cols)
-        if len(bases[i]) != ranks[i]:
+        kernel = _Echelon()
+        cycles = [kernel.insert(col, {j: 1}) for j, col in enumerate(d_i)]
+        cycles = [z for z in cycles if z is not None]
+        form = _Echelon()
+        boundary_rank = sum(form.insert(col, {}) is None for col in d_up)
+        basis = []
+        for z in cycles:
+            if form.insert(z, {len(basis): 1}) is None:
+                basis.append(z)
+        if len(basis) != len(cycles) - boundary_rank:
             raise AssertionError("homology basis selection disagrees with the rank")
-    return HomologyData(ranks, bases)
+        ranks[i], bases[i], forms[i] = len(basis), basis, form
+        d_i = d_up
+    return HomologyData(ranks, bases, forms)
 
 
 # ---------------------------------------------------------------------------
@@ -354,32 +287,12 @@ class GroupAction:
                         raise ValidationError("the action does not preserve simplices")
 
 
-def _chain_map_trace_matrix(complex_: SimplicialComplex, i: int, vertex_map) -> dict:
-    """Sparse signed permutation action on C_i: column simplex -> (row, sign)."""
-    simplices = complex_.simplices.get(i, [])
-    index = {s: r for r, s in enumerate(simplices)}
-    out = {}
-    for c, s in enumerate(simplices):
-        image = [vertex_map[v] for v in s]
-        order = sorted(range(len(image)), key=lambda k: image[k])
-        sign = 1
-        perm = list(order)
-        # parity of the sort permutation
-        seen = [False] * len(perm)
-        for start in range(len(perm)):
-            if seen[start]:
-                continue
-            length = 0
-            j = start
-            while not seen[j]:
-                seen[j] = True
-                j = perm[j]
-                length += 1
-            if length % 2 == 0:
-                sign = -sign
-        target = tuple(sorted(image))
-        out[c] = (index[target], sign)
-    return out
+def _signed_image(s: tuple, vertex_map) -> tuple[tuple, int]:
+    """The image of an oriented simplex: its sorted vertices and the sign of
+    the sorting permutation."""
+    image = [vertex_map[v] for v in s]
+    inversions = sum(a > b for a, b in itertools.combinations(image, 2))
+    return tuple(sorted(image)), -1 if inversions % 2 else 1
 
 
 def equivariant_trace(
@@ -388,33 +301,26 @@ def equivariant_trace(
     i: int,
     vertex_map,
 ) -> Fraction:
-    """Trace of the induced map on H_i, via projection onto the cycle basis
-    modulo boundaries."""
-    cycles = homology.cycle_bases.get(i, [])
-    rank = homology.rank(i)
-    if rank == 0:
+    """Trace of the induced map on H_i: each g.z_j reduces to zero against the
+    stored echelon form, and the tracked combination gives its coordinate."""
+    basis = homology.cycle_bases.get(i, [])
+    if not basis:
         return Fraction(0)
-    d_up = boundary_matrix(complex_, i + 1)
-    n_chains = len(complex_.simplices.get(i, []))
-    boundary_cols = []
-    if d_up and d_up[0]:
-        for c in range(len(d_up[0])):
-            boundary_cols.append([d_up[r][c] for r in range(n_chains)])
-    action = _chain_map_trace_matrix(complex_, i, vertex_map)
-    # solve per cycle: g . z_j = sum_k a_(jk) z_k + boundary
-    columns = [list(z) for z in cycles] + boundary_cols
-    trace = Fraction(0)
-    for j, z in enumerate(cycles):
-        image = [Fraction(0)] * n_chains
-        for c, coeff in enumerate(z):
-            if coeff:
-                r, sign = action[c]
-                image[r] += sign * coeff
-        sol = _solve(columns, image)
-        if sol is None:
+    simplices = complex_.simplices[i]
+    index = {s: r for r, s in enumerate(simplices)}
+    form = homology.forms[i]
+    trace = 0
+    for j, z in enumerate(basis):
+        image = {}
+        for c, coeff in z.items():
+            target, sign = _signed_image(simplices[c], vertex_map)
+            image[index[target]] = sign * coeff
+        rest, combo = form.reduce(image, {})
+        if rest:
             raise ValidationError("chain image is not a cycle modulo boundaries")
-        trace += sol[j]
-    return trace
+        # g.z_j + sum_k combo[k] z_k is a boundary
+        trace -= combo.get(j, 0)
+    return Fraction(trace)
 
 
 def equivariant_hilbert_data(

@@ -149,6 +149,29 @@ def test_segre_commands():
     assert series["result"][1] == [[[0, 2], 1], [[2, 0], 1]]
 
 
+def test_segre_degrees_out_of_range_are_rejected():
+    edge = {"vertices": [1, 2], "facets": [[1, 2]]}
+    series = {
+        "cmd": "segre.series",
+        "complex": edge,
+        "group": {"construct": "cyclic", "n": 2},
+        "action": [[[1, 1], [2, 2]], [[1, 2], [2, 1]]],
+        "i": 0,
+    }
+    for req, field in [
+        ({"cmd": "segre.homology", "complex": edge, "i_max": -1}, "i_max"),
+        (dict(series, i=-1), "i"),
+        (dict(series, nmax=0), "nmax"),
+    ]:
+        resp = run(req)
+        assert resp["status"] == "error", req
+        (message,) = resp["diagnostics"]
+        assert message.startswith("ValidationError: " + field + " must be at least"), message
+    # the smallest accepted values still answer
+    assert run({"cmd": "segre.homology", "complex": edge, "i_max": 0})["result"] == {"ranks": {"0": 1}}
+    assert run(dict(series, nmax=1))["status"] == "ok"
+
+
 def test_determinism_byte_identical():
     req = {"cmd": "group.table", "group": {"construct": "cyclic", "n": 3}}
     a = dumps(execute_request(dict(req)))

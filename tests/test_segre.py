@@ -1,8 +1,10 @@
 import itertools
+import time
 from fractions import Fraction
 
 import pytest
 
+from quasilang.cli import execute_request
 from quasilang.errors import ValidationError
 from quasilang.grouptheory import FiniteGroup, abelian_table
 from quasilang.segre import (
@@ -166,3 +168,69 @@ def test_json_round_trip():
     blob = x.to_json()
     y = SimplicialComplex.from_json(blob)
     assert y.simplices == x.simplices
+
+
+def test_circle_fourth_power_homology_within_bound():
+    """circle^{*4} is a graph on 81 vertices with 648 edges."""
+    start = time.monotonic()
+    data = homology_ranks(iterated_segre(triangle_boundary(), 4), 1)
+    elapsed = time.monotonic() - start
+    assert data.ranks == {0: 1, 1: 568}
+    assert elapsed < 10, f"took {elapsed:.1f} s"
+
+
+def test_circle_rotation_series_to_cube_within_bound():
+    """H_1 of circle^{*n} under (Z/3)^n for n <= 3: Z/3 has only linear
+    characters, so each row's multiplicities sum to rank H_1."""
+    req = {
+        "cmd": "segre.series",
+        "complex": {"vertices": [1, 2, 3], "facets": [[1, 2], [2, 3], [1, 3]]},
+        "group": {"construct": "cyclic", "n": 3},
+        "action": [
+            [[1, 1], [2, 2], [3, 3]],
+            [[1, 2], [2, 3], [3, 1]],
+            [[1, 3], [2, 1], [3, 2]],
+        ],
+        "i": 1,
+        "nmax": 3,
+    }
+    start = time.monotonic()
+    resp = execute_request(req)
+    elapsed = time.monotonic() - start
+    assert resp["status"] == "ok"
+    assert [sum(mult for _, mult in row) for row in resp["result"]] == [1, 10, 82]
+    assert elapsed < 10, f"took {elapsed:.1f} s"
+
+
+def test_projective_plane_needs_a_non_unit_pivot():
+    """The 6-vertex RP^2 has rational homology of a point; its boundary
+    elimination meets a pivot that is not +-1, so entries become Fractions."""
+    rp2 = SimplicialComplex(
+        range(1, 7),
+        [[1, 2, 3], [1, 3, 4], [1, 4, 5], [1, 5, 6], [1, 2, 6],
+         [2, 3, 5], [2, 4, 5], [2, 4, 6], [3, 4, 6], [3, 5, 6]],
+    )
+    data = homology_ranks(rp2, 2)
+    assert data.ranks == {0: 1, 1: 0, 2: 0}
+    entries = [
+        v for form in data.forms.values() for vec, tags in form.rows.values() for v in [*vec.values(), *tags.values()]
+    ]
+    assert any(isinstance(v, Fraction) for v in entries)
+
+
+def test_unit_pivots_keep_integer_entries():
+    data = homology_ranks(iterated_segre(triangle_boundary(), 2), 1)
+    entries = [
+        v for form in data.forms.values() for vec, tags in form.rows.values() for v in [*vec.values(), *tags.values()]
+    ]
+    entries += [v for basis in data.cycle_bases.values() for z in basis for v in z.values()]
+    assert entries and all(type(v) is int for v in entries)
+
+
+def test_boundary_matrix_is_sparse_columns():
+    filled = SimplicialComplex([1, 2, 3], [[1, 2, 3]])
+    assert boundary_matrix(filled, 0) == [{}, {}, {}]
+    # edges (1,2), (1,3), (2,3) over vertices 1, 2, 3
+    assert boundary_matrix(filled, 1) == [{1: 1, 0: -1}, {2: 1, 0: -1}, {2: 1, 1: -1}]
+    assert boundary_matrix(filled, 2) == [{2: 1, 1: -1, 0: 1}]
+    assert boundary_matrix(filled, 3) == []
