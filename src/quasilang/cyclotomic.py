@@ -3,7 +3,18 @@
 Elements are represented in the power basis 1, z, ..., z^(phi(N)-1) of
 Q[x]/Phi_N(x), where Phi_N is the N-th cyclotomic polynomial.  Working
 modulo Phi_N (rather than x^N - 1) keeps the ring a field, so zero testing
-is plain coordinate comparison.  Rationals are `fractions.Fraction`.
+is plain coordinate comparison.
+
+An element stores integer numerators over one positive common denominator,
+in lowest terms (the denominator and the numerators have gcd 1), so each
+value has exactly one representation at a given order.  For each order a
+cached table holds x^k mod Phi_N as sparse integer rows for every k below
+max(N, 2 phi(N) - 1).  Products are reduced with it, and lifts into a
+larger order, powers of zeta and Galois conjugates (complex conjugation
+among them) are integer combinations of its rows.  The inverse is the
+product of the other Galois conjugates over the field norm.  A product with
+a rational operand (order 1) scales the other operand instead of lifting it.
+`coeffs` reads the coordinates back as `fractions.Fraction`s.
 """
 
 from __future__ import annotations
@@ -17,6 +28,7 @@ from .errors import ValidationError
 Rational = Fraction
 
 
+@lru_cache(maxsize=None)
 def euler_phi(n: int) -> int:
     if n < 1:
         raise ValidationError(f"euler_phi needs n >= 1, got {n}")
@@ -64,31 +76,86 @@ def cyclotomic_polynomial(n: int) -> tuple[int, ...]:
     return tuple(num)
 
 
-def _reduce_mod_phi(coeffs: list[Fraction], order: int) -> tuple[Fraction, ...]:
-    """Reduce a polynomial in z modulo Phi_order; result has length phi(order)."""
-    phi = list(cyclotomic_polynomial(order))
-    deg = len(phi) - 1
-    work = list(coeffs)
-    while len(work) > deg:
-        lead = work.pop()
-        if lead:
-            shift = len(work) - deg
-            for i in range(deg):
-                work[shift + i] -= lead * phi[i]
-    work += [Fraction(0)] * (deg - len(work))
-    return tuple(work)
+@lru_cache(maxsize=None)
+def _field(order: int) -> tuple[int, tuple]:
+    """(phi(order), rows) with rows[k] = x^k mod Phi_order as sparse
+    (index, coefficient) pairs, for 0 <= k < max(order, 2 phi(order) - 1):
+    enough for every power of zeta and for the product of two reduced
+    elements."""
+    d = euler_phi(order)
+    phi = cyclotomic_polynomial(order)
+    row = [1] + [0] * (d - 1)
+    rows = []
+    for _ in range(max(order, 2 * d - 1)):
+        rows.append(tuple((i, c) for i, c in enumerate(row) if c))
+        # times x, folding x^d = -(phi_0 + phi_1 x + ... + phi_(d-1) x^(d-1))
+        top = row[-1]
+        row = [0] + row[:-1]
+        if top:
+            for i in range(d):
+                row[i] -= top * phi[i]
+    return d, tuple(rows)
+
+
+_new = object.__new__
+
+
+def _make(order: int, num, den: int = 1) -> "CyclotomicNumber":
+    """The element with integer numerators `num` over den > 0, in lowest terms."""
+    g = gcd(den, *num)
+    if g != 1:
+        num = [c // g for c in num]
+        den //= g
+    x = _new(CyclotomicNumber)
+    x.order = order
+    x._num = tuple(num)
+    x._den = den
+    x._coeffs = None
+    return x
+
+
+def _mul_num(a, b, rows) -> list[int]:
+    """Product of two reduced integer coordinate vectors, reduced."""
+    d = len(a)
+    if d == 1:
+        return [a[0] * b[0]]
+    prod = [0] * (2 * d - 1)
+    for i, x in enumerate(a):
+        if x:
+            for j, y in enumerate(b):
+                if y:
+                    prod[i + j] += x * y
+    for k in range(2 * d - 2, d - 1, -1):
+        c = prod[k]
+        if c:
+            for i, r in rows[k]:
+                prod[i] += c * r
+    del prod[d:]
+    return prod
+
+
+def _substitute(num, rows, step: int, order: int, d: int) -> list[int]:
+    """sum_i num[i] x^(i * step mod order), reduced: a lift when step is
+    target/source order, a Galois map when step is a unit mod order."""
+    out = [0] * d
+    for i, c in enumerate(num):
+        if c:
+            for j, r in rows[i * step % order]:
+                out[j] += c * r
+    return out
 
 
 class CyclotomicNumber:
     """An element of Q(zeta_N) in the power basis of Q[x]/Phi_N(x).
 
     Values are immutable; all operations return fresh instances.  Mixed-order
-    arithmetic lifts both operands into Q(zeta_lcm) via zeta_a = zeta_lcm^(lcm/a).
+    arithmetic lifts both operands into Q(zeta_lcm) via zeta_a = zeta_lcm^(lcm/a);
+    a product with a rational (order 1) operand scales the other one instead.
     Instances are not hashable (equality is order-insensitive); use `key()` for
     dictionary keys at a fixed order.
     """
 
-    __slots__ = ("order", "coeffs")
+    __slots__ = ("order", "_num", "_den", "_coeffs")
 
     def __init__(self, order: int, coeffs) -> None:
         if order < 1:
@@ -98,13 +165,26 @@ class CyclotomicNumber:
             raise ValidationError(
                 f"need {euler_phi(order)} coordinates for order {order}, got {len(coeffs)}"
             )
+        den = lcm(*(q.denominator for q in coeffs))
         self.order = order
-        self.coeffs = coeffs
+        self._num = tuple(q.numerator * (den // q.denominator) for q in coeffs)
+        self._den = den
+        self._coeffs = coeffs
+
+    @property
+    def coeffs(self) -> tuple[Fraction, ...]:
+        """The power-basis coordinates as Fractions (built on first use)."""
+        if self._coeffs is None:
+            den = self._den
+            self._coeffs = tuple(Fraction(n, den) for n in self._num)
+        return self._coeffs
 
     @classmethod
     def from_rational(cls, value, order: int = 1) -> "CyclotomicNumber":
-        coeffs = [Fraction(value)] + [Fraction(0)] * (euler_phi(order) - 1)
-        return cls(order, coeffs)
+        if not isinstance(value, (int, Fraction)):
+            value = Fraction(value)
+        d = _field(order)[0]
+        return _make(order, (value.numerator,) + (0,) * (d - 1), value.denominator)
 
     @classmethod
     def zero(cls, order: int = 1) -> "CyclotomicNumber":
@@ -117,9 +197,11 @@ class CyclotomicNumber:
     @classmethod
     def root(cls, order: int, power: int = 1) -> "CyclotomicNumber":
         """zeta_order^power, reduced into the power basis."""
-        power %= order
-        poly = [Fraction(0)] * power + [Fraction(1)]
-        return cls(order, _reduce_mod_phi(poly, order))
+        d, rows = _field(order)
+        out = [0] * d
+        for i, c in rows[power % order]:
+            out[i] = c
+        return _make(order, out)
 
     # -- representation helpers -------------------------------------------
 
@@ -129,58 +211,61 @@ class CyclotomicNumber:
             return self
         if order % self.order != 0:
             raise ValidationError(f"cannot lift order {self.order} into order {order}")
-        step = order // self.order
-        poly = [Fraction(0)] * ((len(self.coeffs) - 1) * step + 1)
-        for i, c in enumerate(self.coeffs):
-            poly[i * step] = c
-        return CyclotomicNumber(order, _reduce_mod_phi(poly, order))
+        d, rows = _field(order)
+        return _make(order, _substitute(self._num, rows, order // self.order, order, d), self._den)
 
     def key(self, order: int | None = None):
         """Hashable canonical key at a fixed order (for dict/multiset use)."""
         v = self.lift(order) if order is not None else self
         return (v.order, v.coeffs)
 
-    @staticmethod
-    def _coerce(a, b) -> tuple["CyclotomicNumber", "CyclotomicNumber"]:
-        if not isinstance(a, CyclotomicNumber):
-            a = CyclotomicNumber.from_rational(a)
-        if not isinstance(b, CyclotomicNumber):
-            b = CyclotomicNumber.from_rational(b)
-        n = lcm(a.order, b.order)
-        return a.lift(n), b.lift(n)
-
     # -- field operations ---------------------------------------------------
 
+    def _add(self, other, sign: int) -> "CyclotomicNumber":
+        """self + sign * other."""
+        if type(other) is not CyclotomicNumber:
+            other = CyclotomicNumber.from_rational(other)
+        a, b = self, other
+        if a.order != b.order:
+            n = lcm(a.order, b.order)
+            a, b = a.lift(n), b.lift(n)
+        an, ad, bn, bd = a._num, a._den, b._num, b._den
+        return _make(a.order, [x * bd + sign * y * ad for x, y in zip(an, bn)], ad * bd)
+
     def __add__(self, other):
-        a, b = self._coerce(self, other)
-        return CyclotomicNumber(a.order, [x + y for x, y in zip(a.coeffs, b.coeffs)])
+        return self._add(other, 1)
 
     def __radd__(self, other):
         return self.__add__(other)
 
     def __sub__(self, other):
-        a, b = self._coerce(self, other)
-        return CyclotomicNumber(a.order, [x - y for x, y in zip(a.coeffs, b.coeffs)])
+        return self._add(other, -1)
 
     def __rsub__(self, other):
-        a, b = self._coerce(other, self)
-        return CyclotomicNumber(a.order, [x - y for x, y in zip(a.coeffs, b.coeffs)])
+        return -self._add(other, -1)
 
     def __neg__(self):
-        return CyclotomicNumber(self.order, [-c for c in self.coeffs])
+        return _make(self.order, [-c for c in self._num], self._den)
+
+    def _scale(self, p: int, q: int) -> "CyclotomicNumber":
+        """self * p / q for integers p and q > 0."""
+        return _make(self.order, [c * p for c in self._num], self._den * q)
 
     def __mul__(self, other):
-        if isinstance(other, (int, Fraction)):
-            return CyclotomicNumber(self.order, [c * other for c in self.coeffs])
-        a, b = self._coerce(self, other)
-        prod = [Fraction(0)] * (len(a.coeffs) + len(b.coeffs) - 1)
-        for i, x in enumerate(a.coeffs):
-            if not x:
-                continue
-            for j, y in enumerate(b.coeffs):
-                if y:
-                    prod[i + j] += x * y
-        return CyclotomicNumber(a.order, _reduce_mod_phi(prod, a.order))
+        if type(other) is not CyclotomicNumber:
+            if not isinstance(other, (int, Fraction)):
+                other = Fraction(other)
+            return self._scale(other.numerator, other.denominator)
+        if other.order == 1:
+            return self._scale(other._num[0], other._den)
+        if self.order == 1:
+            return other._scale(self._num[0], self._den)
+        a, b = self, other
+        if a.order != b.order:
+            n = lcm(a.order, b.order)
+            a, b = a.lift(n), b.lift(n)
+        rows = _field(a.order)[1]
+        return _make(a.order, _mul_num(a._num, b._num, rows), a._den * b._den)
 
     def __rmul__(self, other):
         return self.__mul__(other)
@@ -198,72 +283,55 @@ class CyclotomicNumber:
         return result
 
     def inverse(self) -> "CyclotomicNumber":
-        """Multiplicative inverse via the extended Euclidean algorithm in Q[x]."""
+        """Multiplicative inverse: the product of the other Galois conjugates
+        over the field norm (the product of all of them, a nonzero rational)."""
         if self.is_zero():
             raise ZeroDivisionError("inverse of zero cyclotomic number")
-        phi = [Fraction(c) for c in cyclotomic_polynomial(self.order)]
-        # Invariants: r0 = u0*a + v0*Phi, r1 = u1*a + v1*Phi (v's not tracked).
-        r0, u0 = list(self.coeffs), [Fraction(1)]
-        r1, u1 = phi, [Fraction(0)]
-
-        def _deg(p):
-            d = len(p) - 1
-            while d > 0 and not p[d]:
-                d -= 1
-            return d if any(p) else -1
-
-        while _deg(r1) >= 0:
-            d0, d1 = _deg(r0), _deg(r1)
-            if d0 < d1:
-                r0, r1, u0, u1 = r1, r0, u1, u0
-                continue
-            factor = r0[_deg(r0)] / r1[_deg(r1)]
-            shift = d0 - d1
-            for i in range(d1 + 1):
-                r0[shift + i] -= factor * r1[i]
-            u0 += [Fraction(0)] * (shift + len(u1) - len(u0))
-            for i in range(len(u1)):
-                u0[shift + i] -= factor * u1[i]
-            if _deg(r0) < _deg(r1):
-                r0, r1, u0, u1 = r1, r0, u1, u0
-        # r0 is now a nonzero constant g with g = u0 * self (mod Phi).
-        g = r0[0]
-        inv = [c / g for c in u0]
-        return CyclotomicNumber(self.order, _reduce_mod_phi(inv, self.order))
+        n = self.order
+        d, rows = _field(n)
+        others = [1] + [0] * (d - 1)
+        for k in range(2, n):
+            if gcd(k, n) == 1:
+                others = _mul_num(others, _substitute(self._num, rows, k, n, d), rows)
+        norm = _mul_num(self._num, others, rows)[0]
+        sign = 1 if norm > 0 else -1
+        return _make(n, [sign * self._den * c for c in others], sign * norm)
 
     def conjugate(self) -> "CyclotomicNumber":
         """Complex conjugate: the Galois map zeta -> zeta^(-1)."""
-        if self.order <= 2:
+        n = self.order
+        if n <= 2:
             return self
-        poly = [Fraction(0)] * self.order
-        for i, c in enumerate(self.coeffs):
-            poly[(-i) % self.order] += c
-        return CyclotomicNumber(self.order, _reduce_mod_phi(poly, self.order))
+        d, rows = _field(n)
+        return _make(n, _substitute(self._num, rows, -1, n, d), self._den)
 
     # -- predicates ---------------------------------------------------------
 
     def is_zero(self) -> bool:
-        return not any(self.coeffs)
+        return not any(self._num)
 
     def is_rational(self) -> bool:
-        return not any(self.coeffs[1:])
+        return not any(self._num[1:])
 
     def rational_value(self) -> Fraction:
         if not self.is_rational():
             raise ValidationError(f"{self!r} is not rational")
-        return self.coeffs[0]
+        return Fraction(self._num[0], self._den)
 
     def is_integral(self) -> bool:
         """Whether the value lies in Z[zeta_N] (integer power-basis coordinates)."""
-        return all(c.denominator == 1 for c in self.coeffs)
+        return self._den == 1
 
     def __eq__(self, other) -> bool:
         if isinstance(other, (int, Fraction)):
-            return self.is_rational() and self.coeffs[0] == other
+            return self.is_rational() and self._num[0] == other * self._den
         if not isinstance(other, CyclotomicNumber):
             return NotImplemented
-        n = lcm(self.order, other.order)
-        return self.lift(n).coeffs == other.lift(n).coeffs
+        a, b = self, other
+        if a.order != b.order:
+            n = lcm(a.order, b.order)
+            a, b = a.lift(n), b.lift(n)
+        return a._den == b._den and a._num == b._num
 
     __hash__ = None  # equality is order-insensitive; use key() for dict keys
 
@@ -318,6 +386,8 @@ def fraction_from_str(s: str) -> Fraction:
 
 
 def cyclotomic_to_json(c: CyclotomicNumber) -> list:
+    if c._den == 1:  # integral coordinates: no Fractions to build
+        return [c.order, [str(n) for n in c._num]]
     return [c.order, [fraction_to_str(x) for x in c.coeffs]]
 
 

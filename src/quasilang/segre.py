@@ -340,6 +340,12 @@ def equivariant_hilbert_data(
     # bind table classes to group classes via element_class
     rep_class = [action_table.element_class[r] for r in class_reps]
     n_irr = len(action_table.rows)
+    # conj[j][r]: conjugate of irreducible j at class representative r.  The
+    # traces are rational, so a character and its conjugate get the same
+    # multiplicity and dropping the conjugation would change no output; it is
+    # kept so that each multiplicity is the inner product <trace, chi_js>.
+    conj = [[row[c].conjugate() for c in rep_class] for row in action_table.rows]
+    rep_sizes = [action_table.class_sizes[c] for c in rep_class]
     for n in range(1, n_max + 1):
         power = iterated_segre(x, n, budget)
         homology = homology_ranks(power, i)
@@ -351,19 +357,21 @@ def equivariant_hilbert_data(
                     vertex_maps[class_reps[combo[k]]][v[k]] for k in range(n)
                 )
             traces[combo] = equivariant_trace(power, homology, i, vmap)
+        # each nonzero trace times the size of its class tuple
+        weighted = []
+        for combo, tr in traces.items():
+            if tr:
+                for r in combo:
+                    tr *= rep_sizes[r]
+                weighted.append((combo, CyclotomicNumber.from_rational(tr)))
         poly: dict = {}
         order_n = group.order**n
         for js in itertools.product(range(n_irr), repeat=n):
             total = CyclotomicNumber.zero()
-            for combo, tr in traces.items():
-                if tr == 0:
-                    continue
-                weight = 1
-                val = CyclotomicNumber.from_rational(tr)
-                for k in range(n):
-                    weight *= action_table.class_sizes[rep_class[combo[k]]]
-                    val = val * action_table.rows[js[k]][rep_class[combo[k]]].conjugate()
-                total = total + val * weight
+            for combo, val in weighted:
+                for j, r in zip(js, combo):
+                    val = val * conj[j][r]
+                total = total + val
             total = total * Fraction(1, order_n)
             q = total.rational_value()
             if q.denominator != 1 or q < 0:

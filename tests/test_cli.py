@@ -102,6 +102,20 @@ def test_group_commands():
     assert good["result"]["good"] is True and good["result"]["exponent_lcm"] == 2
 
 
+def test_group_table_entries_out_of_range_are_rejected():
+    for table in (
+        [[0, 1, 2], [1, 0, 5], [2, 5, 0]],
+        [[0, 1, 2], [1, 2, -3], [2, -3, 1]],
+        [[0, 1.0], [1, 0]],
+        [[0, True], [1, 0]],
+    ):
+        resp = run({"cmd": "group.table", "group": {"table": table}})
+        assert resp["status"] == "error", table
+        (message,) = resp["diagnostics"]
+        assert message.startswith("ValidationError: multiplication table entries"), message
+    assert run({"cmd": "group.table", "group": {"table": [[0, 1], [1, 0]]}})["status"] == "ok"
+
+
 def test_wreath_commands():
     classes = run({"cmd": "wreath.classes", "group": {"construct": "cyclic", "n": 2}, "n": 2})
     assert len(classes["result"]) == 5

@@ -1,4 +1,5 @@
 import random
+import time
 from fractions import Fraction
 
 import pytest
@@ -76,6 +77,79 @@ def test_finite_group_construction():
 def test_bad_table_rejected():
     with pytest.raises(ValidationError):
         FiniteGroup([[0, 1], [1, 1]])
+
+
+def reduced_latin_squares(n: int) -> list[list[list[int]]]:
+    """Every n x n Latin square whose first row and column are 0..n-1: each
+    is a loop with identity 0 in which every element has an inverse."""
+    out = []
+    rows = [list(range(n))]
+
+    def fill(row: list[int]) -> None:
+        if len(row) == n:
+            rows.append(row)
+            if len(rows) == n:
+                out.append([r[:] for r in rows])
+            else:
+                fill([len(rows)])
+            rows.pop()
+            return
+        j = len(row)
+        for v in range(n):
+            if v not in row and all(r[j] != v for r in rows):
+                fill(row + [v])
+
+    fill([1])
+    return out
+
+
+def cubic_associative(t) -> bool:
+    n = len(t)
+    return all(t[t[a][b]][c] == t[a][t[b][c]] for a in range(n) for b in range(n) for c in range(n))
+
+
+@pytest.mark.parametrize("n, squares, groups", [(4, 4, 4), (5, 56, 6), (6, 9408, 80)])
+def test_generator_associativity_check_agrees_with_cubic_check(n, squares, groups):
+    # groups: Z/4 three ways and Z/2 x Z/2 once; Z/5 six ways; Z/6 sixty
+    # ways and S3 twenty
+    tables = reduced_latin_squares(n)
+    assert len(tables) == squares
+    accepted = 0
+    for t in tables:
+        if cubic_associative(t):
+            FiniteGroup(t)
+            accepted += 1
+        else:
+            with pytest.raises(ValidationError, match="not associative"):
+                FiniteGroup(t)
+    assert accepted == groups
+
+
+def test_nonassociative_loop_rejected():
+    # identity 0, every row and column a permutation (so inverses exist),
+    # yet (1*1)*2 = 0*2 = 2 while 1*(1*2) = 1*3 = 4
+    loop = [
+        [0, 1, 2, 3, 4],
+        [1, 0, 3, 4, 2],
+        [2, 3, 4, 0, 1],
+        [3, 4, 1, 2, 0],
+        [4, 2, 0, 1, 3],
+    ]
+    with pytest.raises(ValidationError, match="not associative"):
+        FiniteGroup(loop)
+
+
+def test_symmetric_6_character_table_is_orthonormal():
+    start = time.monotonic()
+    s6 = FiniteGroup.symmetric(6)
+    table = character_table(s6)
+    table.validate()
+    sizes = sorted(len(c) for c in s6.conjugacy_classes())
+    assert sizes == sorted(table.class_sizes) and len(table.rows) == 11
+    for cls in s6.conjugacy_classes():
+        assert {table.element_class[g] for g in cls} == {table.element_class[cls[0]]}
+    elapsed = time.monotonic() - start
+    assert elapsed < 10.0, f"S6 and its character table took {elapsed:.1f}s"
 
 
 def test_commutator_and_quotient():

@@ -5,8 +5,9 @@ from fractions import Fraction
 import pytest
 
 from quasilang.cli import execute_request
+from quasilang.cyclotomic import CyclotomicNumber
 from quasilang.errors import ValidationError
-from quasilang.grouptheory import FiniteGroup, abelian_table
+from quasilang.grouptheory import FiniteGroup, abelian_table, character_table
 from quasilang.segre import (
     GroupAction,
     SimplicialComplex,
@@ -161,6 +162,58 @@ def test_equivariant_identity_trace_is_rank():
         for content, mult in poly.items():
             total += mult  # all irreducibles of an abelian group are linear
         assert total == 2 ** (n - 1)
+
+
+def z4_rotating_square():
+    """Z/4 has characters with values +-i, so conjugation is not the identity."""
+    square = iterated_segre(SimplicialComplex([1, 2, 3, 4], [[1, 2], [2, 3], [3, 4], [1, 4]]), 1)
+    maps = [{(v,): ((v - 1 + g) % 4 + 1,) for v in range(1, 5)} for g in range(4)]
+    return GroupAction(character_table(FiniteGroup.cyclic(4)), square, maps)
+
+
+def s3_permuting_triangle():
+    """S3 has classes of sizes 1, 2 and 3, so class weights matter."""
+    g = FiniteGroup.symmetric(3)
+    circle = iterated_segre(triangle_boundary(), 1)
+    maps = [{(v,): (p[v - 1] + 1,) for v in range(1, 4)} for p in g.labels]
+    return GroupAction(character_table(g), circle, maps)
+
+
+def direct_multiplicities(action, i, n):
+    """<trace, chi_j1 x ... x chi_jn> as a sum over every element of G^n,
+    with chi(g^-1) in place of the conjugate of chi(g)."""
+    table = action.table
+    group = table.group
+    power = iterated_segre(action.complex, n)
+    hom = homology_ranks(power, i)
+    traces = {}
+    for gs in itertools.product(range(group.order), repeat=n):
+        vmap = {
+            v: tuple(action.vertex_maps[g][v[k]] for k, g in enumerate(gs)) for v in power.vertices
+        }
+        traces[gs] = equivariant_trace(power, hom, i, vmap)
+    poly = {}
+    for js in itertools.product(range(len(table.rows)), repeat=n):
+        total = CyclotomicNumber.zero()
+        for gs, tr in traces.items():
+            val = CyclotomicNumber.from_rational(tr)
+            for j, g in zip(js, gs):
+                val = val * table.value(j, group.inverse[g])
+            total = total + val
+        q = (total * Fraction(1, group.order**n)).rational_value()
+        if q:
+            content = tuple(js.count(j) for j in range(len(table.rows)))
+            poly[content] = poly.get(content, 0) + q
+    return poly
+
+
+@pytest.mark.parametrize("make_action", [z4_rotating_square, s3_permuting_triangle])
+@pytest.mark.parametrize("i", [0, 1])
+def test_equivariant_hilbert_data_matches_element_sum(make_action, i):
+    action = make_action()
+    data = equivariant_hilbert_data(action, i, 2)
+    assert data == [direct_multiplicities(action, i, n) for n in (1, 2)]
+    assert any(data)
 
 
 def test_json_round_trip():
