@@ -2,8 +2,8 @@
 functions, weighted-word posets, wreath-product characters, and Segre-product
 homology, all over Q(zeta_N)."""
 
-from .cyclotomic import CyclotomicNumber, Rational, cyc_arith, cyc_inv, cyc_root
+from .cyclotomic import CyclotomicNumber, Rational
 
-__all__ = ["CyclotomicNumber", "Rational", "cyc_root", "cyc_arith", "cyc_inv"]
+__all__ = ["CyclotomicNumber", "Rational"]
 
 __version__ = "0.1.0"

@@ -79,10 +79,6 @@ def _table_to_json(t: grouptheory.CharacterTable) -> dict:
     }
 
 
-def _word_from_json(data) -> WeightedWord:
-    return WeightedWord.from_json(data)
-
-
 # ---------------------------------------------------------------------------
 # handlers
 
@@ -154,20 +150,20 @@ def _cmd_genfun_expand(req):
 
 
 def _cmd_poset_leq(req):
-    x = _word_from_json(req["x"])
-    y = _word_from_json(req["y"])
+    x = WeightedWord.from_json(req["x"])
+    y = WeightedWord.from_json(req["y"])
     witness = wordposet.leq(x, y)
     return None if witness is None else witness.to_json()
 
 
 def _cmd_poset_minimal(req):
-    x = _word_from_json(req["x"])
+    x = WeightedWord.from_json(req["x"])
     words = sorted(wordposet.minimal_words_over(x), key=lambda w: (w.letters, w.weights))
     return [w.to_json() for w in words]
 
 
 def _cmd_poset_ideal(req):
-    x = _word_from_json(req["x"])
+    x = WeightedWord.from_json(req["x"])
     letters = tuple(req["letters"]) if "letters" in req else None
     q = principal_ideal_language(x, letters=letters, reduced_stars=bool(req.get("reduced_stars")))
     return quasi_to_json(q)
@@ -199,6 +195,8 @@ def _cmd_group_restrict(req):
 def _cmd_group_good(req):
     G = _group_from_json(req["group"])
     if req.get("young"):
+        if G.kind[0] != "symmetric":
+            raise ValidationError(f"young: Young subgroups need a symmetric group, got {G.name}")
         fam = [(H, emb) for _, H, emb in grouptheory.young_subgroups(G.kind[1], G)]
     else:
         fam = [
@@ -253,11 +251,7 @@ def _cmd_wreath_hilbert(req):
 def _cmd_segre_product(req):
     x = segre.SimplicialComplex.from_json(req["x"])
     y = segre.SimplicialComplex.from_json(req["y"])
-    return segre_to_json(segre.segre_product(x, y))
-
-
-def segre_to_json(c: segre.SimplicialComplex) -> dict:
-    return c.to_json()
+    return segre.segre_product(x, y).to_json()
 
 
 def _at_least(req, field: str, least: int) -> int:
@@ -323,8 +317,10 @@ HANDLERS = {
 
 def execute_request(request: dict) -> dict:
     """Dispatch a request dict; never raises for domain errors."""
+    if not isinstance(request, dict):
+        return {"status": "error", "diagnostics": ["ValidationError: request must be a JSON object"]}
     cmd = request.get("cmd")
-    handler = HANDLERS.get(cmd)
+    handler = HANDLERS.get(cmd) if isinstance(cmd, str) else None
     if handler is None:
         return {"status": "error", "diagnostics": [f"unknown subcommand {cmd!r}"]}
     try:
@@ -355,11 +351,12 @@ def main(argv=None) -> int:
     else:
         text = sys.stdin.read().strip()
         payload = json.loads(text) if text else {}
-    payload["cmd"] = args.cmd
-    for flag in ("degree", "nmax", "budget"):
-        value = getattr(args, flag)
-        if value is not None:
-            payload[flag] = value
+    if isinstance(payload, dict):
+        payload["cmd"] = args.cmd
+        for flag in ("degree", "nmax", "budget"):
+            value = getattr(args, flag)
+            if value is not None:
+                payload[flag] = value
     response = execute_request(payload)
     text = dumps(response)
     if args.outfile:

@@ -354,35 +354,11 @@ class CyclotomicNumber:
         return " + ".join(terms)
 
 
-def cyc_root(order: int, power: int) -> CyclotomicNumber:
-    """zeta_order^power as an element of Q(zeta_order)."""
-    return CyclotomicNumber.root(order, power)
-
-
-def cyc_arith(op: str, a: CyclotomicNumber, b: CyclotomicNumber) -> CyclotomicNumber:
-    """Exact field arithmetic; operands are lifted to their lcm order."""
-    if op == "add":
-        return a + b
-    if op == "sub":
-        return a - b
-    if op == "mul":
-        return a * b
-    raise ValidationError(f"unknown operation {op!r}")
-
-
-def cyc_inv(a: CyclotomicNumber) -> CyclotomicNumber:
-    return a.inverse()
-
-
 # -- JSON serialization: [N, ["p/q", ...]] with rationals as strings --------
 
 
 def fraction_to_str(q: Fraction) -> str:
     return str(q.numerator) if q.denominator == 1 else f"{q.numerator}/{q.denominator}"
-
-
-def fraction_from_str(s: str) -> Fraction:
-    return Fraction(s)
 
 
 def cyclotomic_to_json(c: CyclotomicNumber) -> list:
@@ -395,4 +371,4 @@ def cyclotomic_from_json(data) -> CyclotomicNumber:
     if not isinstance(data, (list, tuple)) or len(data) != 2:
         raise ValidationError(f"bad cyclotomic JSON: {data!r}")
     order, coeffs = data
-    return CyclotomicNumber(int(order), [fraction_from_str(str(x)) for x in coeffs])
+    return CyclotomicNumber(int(order), [Fraction(str(x)) for x in coeffs])

@@ -567,8 +567,3 @@ def quasi_ordered_genfun(q: QuasiOrderedExpr, norm: Norm | None = None) -> Facto
     for s in symbols:
         psi[norm.index(s)] = q.cong.phi[s]
     return congruence_filter(F, psi, group, q.cong.target)
-
-
-def expand_rational(F: FactoredRational, bound) -> SeriesTruncation:
-    """Exact geometric-series expansion of a factored rational function."""
-    return F.expand(bound)

@@ -1,7 +1,9 @@
 """Ordinary (characteristic-zero) character theory for finite groups given by
-multiplication tables: built-in tables for cyclic, symmetric, and product
-groups, restriction and abelianization maps on representation rings, Smith
-normal form, and the split-injection test for good families of subgroups."""
+multiplication tables: built-in tables for symmetric and product groups and,
+through their linear characters, for abelian groups (cyclic ones included),
+the multiplicity of one class function in another, restriction and
+abelianization maps on representation rings, Smith normal form, and the
+split-injection test for good families of subgroups."""
 
 from __future__ import annotations
 
@@ -306,6 +308,13 @@ def abelian_characters(group: FiniteGroup):
         while power not in in_sub:
             power = group.table[power][g]
             k += 1
+        # the elements s * g^i of the extended subgroup, with s and i
+        walk = []
+        for s in subgroup:
+            elem = s
+            for i in range(k):
+                walk.append((s, i, elem))
+                elem = group.table[elem][g]
         new_chars = []
         for chi in chars:
             t = chi[power]
@@ -314,20 +323,8 @@ def abelian_characters(group: FiniteGroup):
                 raise AssertionError("character extension arithmetic failed")
             for j in range(k):
                 x = (base + j * (M // k)) % M
-                ext = {}
-                for s in subgroup:
-                    elem = s
-                    for i in range(k):
-                        ext[elem] = (chi[s] + i * x) % M
-                        elem = group.table[elem][g]
-                new_chars.append(ext)
-        new_subgroup = []
-        for s in subgroup:
-            elem = s
-            for _ in range(k):
-                new_subgroup.append(elem)
-                elem = group.table[elem][g]
-        subgroup = new_subgroup
+                new_chars.append({elem: (chi[s] + i * x) % M for s, i, elem in walk})
+        subgroup = [elem for _, _, elem in walk]
         in_sub = set(subgroup)
         chars = new_chars
     return [tuple(chi[g] for g in range(n)) for chi in chars], M
@@ -399,37 +396,37 @@ class CharacterTable:
             raise ValidationError("table has no element-to-class binding")
         return self.rows[irr][self.element_class[elem]]
 
-    def inner_product(self, a, b) -> Fraction:
-        """Class-size-weighted inner product of two class functions (rows)."""
-        total = CyclotomicNumber.zero()
-        for size, x, y in zip(self.class_sizes, a, b):
-            total = total + x * y.conjugate() * size
-        total = total * Fraction(1, self.group_order)
-        return total.rational_value()
+    def representatives(self) -> list[int]:
+        """One element of each class (its first), in column order."""
+        first: dict[int, int] = {}
+        for elem, k in enumerate(self.element_class):
+            first.setdefault(k, elem)
+        return [first[k] for k in range(self.n_classes)]
 
     def validate(self) -> None:
         dims = self.dims()
         if sum(d * d for d in dims) != self.group_order:
             raise ValidationError("sum of squared degrees does not match the group order")
-        for i in range(len(self.rows)):
-            for j in range(len(self.rows)):
-                expect = 1 if i == j else 0
-                if self.inner_product(self.rows[i], self.rows[j]) != expect:
+        for i, a in enumerate(self.rows):
+            for j, b in enumerate(self.rows):
+                if multiplicity(self.class_sizes, a, b, f"rows {i}, {j}") != int(i == j):
                     raise ValidationError(f"rows {i}, {j} are not orthonormal")
 
 
-def cyclic_table(n: int, group: FiniteGroup | None = None) -> CharacterTable:
-    rows = [[CyclotomicNumber.root(n, j * k) for k in range(n)] for j in range(n)]
-    return CharacterTable(
-        order=n,
-        class_sizes=[1] * n,
-        rows=rows,
-        identity_class=0,
-        row_names=tuple(range(n)),
-        class_names=tuple(range(n)),
-        group=group,
-        element_class=tuple(range(n)),
-    )
+def multiplicity(class_sizes, a, b, what: str) -> int:
+    """<a, b> = (1/|G|) sum_c |c| a(c) conj(b(c)) for class functions given
+    by their values on the classes c, with |G| = sum_c |c|.
+
+    For characters a and b this is dim Hom(b, a), the multiplicity of b in a
+    when b is irreducible, so anything but a non-negative integer raises a
+    ValidationError naming `what`."""
+    total = CyclotomicNumber.zero()
+    for size, x, y in zip(class_sizes, a, b):
+        total = total + x * y.conjugate() * size
+    q = (total * Fraction(1, sum(class_sizes))).rational_value()
+    if q.denominator != 1 or q < 0:
+        raise ValidationError(f"{what}: expected a non-negative integer multiplicity, got {q}")
+    return int(q)
 
 
 def symmetric_table(n: int, group: FiniteGroup | None = None) -> CharacterTable:
@@ -499,7 +496,8 @@ def product_table(ta: CharacterTable, tb: CharacterTable, group: FiniteGroup | N
 
 def abelian_table(group: FiniteGroup) -> CharacterTable:
     chars, M = abelian_characters(group)
-    rows = [[CyclotomicNumber.root(M, chi[g]) for g in range(group.order)] for chi in chars]
+    roots = [CyclotomicNumber.root(M, e) for e in range(M)]
+    rows = [[roots[e] for e in chi] for chi in chars]
     return CharacterTable(
         order=M,
         class_sizes=[1] * group.order,
@@ -511,15 +509,15 @@ def abelian_table(group: FiniteGroup) -> CharacterTable:
 
 
 def character_table(group: FiniteGroup) -> CharacterTable:
-    """Dispatch on the group's construction; raises UnsupportedGroupError when
-    no built-in method applies and no table was supplied.  The table is built
-    once per group and kept on it (groups and tables are not mutated)."""
+    """Dispatch on the group's construction: symmetric and product groups have
+    their own constructions, and any other abelian group (cyclic groups
+    included) gets the table of its linear characters.  Raises
+    UnsupportedGroupError when none applies.  The table is built once per
+    group and kept on it (groups and tables are not mutated)."""
     if group._character_table is not None:
         return group._character_table
     kind = group.kind[0]
-    if kind == "cyclic":
-        table = cyclic_table(group.kind[1], group)
-    elif kind == "symmetric":
+    if kind == "symmetric":
         table = symmetric_table(group.kind[1], group)
     elif kind == "product":
         ta = character_table(group.kind[1])
@@ -539,12 +537,6 @@ def character_table(group: FiniteGroup) -> CharacterTable:
 # representation-ring maps
 
 
-def _as_nonneg_int(q: Fraction, context: str) -> int:
-    if q.denominator != 1 or q < 0:
-        raise ValidationError(f"{context}: expected a non-negative integer, got {q}")
-    return int(q)
-
-
 def validate_embedding(G: FiniteGroup, H: FiniteGroup, embedding) -> None:
     emb = tuple(embedding)
     if len(emb) != H.order or len(set(emb)) != H.order:
@@ -560,16 +552,13 @@ def restriction_matrix(G: FiniteGroup, H: FiniteGroup, embedding) -> list[list[i
     validate_embedding(G, H, embedding)
     emb = tuple(embedding)
     tG, tH = character_table(G), character_table(H)
+    reps = tH.representatives()
     out = []
     for i in range(len(tG.rows)):
-        row = []
-        for j in range(len(tH.rows)):
-            total = CyclotomicNumber.zero()
-            for h in range(H.order):
-                total = total + tG.value(i, emb[h]) * tH.value(j, H.inverse[h])
-            total = total * Fraction(1, H.order)
-            row.append(_as_nonneg_int(total.rational_value(), "restriction multiplicity"))
-        out.append(row)
+        res = [tG.value(i, emb[h]) for h in reps]
+        out.append(
+            [multiplicity(tH.class_sizes, res, w, "restriction multiplicity") for w in tH.rows]
+        )
     return out
 
 
@@ -580,17 +569,13 @@ def abelianization_matrix(H: FiniteGroup):
     quotient, proj = H.quotient(derived)
     chars, M = abelian_characters(quotient)
     tH = character_table(H)
-    out = []
-    for i in range(len(tH.rows)):
-        row = []
-        for chi in chars:
-            total = CyclotomicNumber.zero()
-            for h in range(H.order):
-                lam_inv = CyclotomicNumber.root(M, -chi[proj[h]])
-                total = total + tH.value(i, h) * lam_inv
-            total = total * Fraction(1, H.order)
-            row.append(_as_nonneg_int(total.rational_value(), "abelianization multiplicity"))
-        out.append(row)
+    # lambda o pi is a class function: read it at one element per class
+    reps = tH.representatives()
+    lams = [[CyclotomicNumber.root(M, chi[proj[h]]) for h in reps] for chi in chars]
+    out = [
+        [multiplicity(tH.class_sizes, v, lam, "abelianization multiplicity") for lam in lams]
+        for v in tH.rows
+    ]
     return out, M
 
 
@@ -727,13 +712,17 @@ def is_good_family(G: FiniteGroup, subgroups, covering_only: bool = False) -> di
 def young_subgroups(n: int, group: FiniteGroup | None = None):
     """All Young subgroups S_lambda of S_n as (partition, subgroup, embedding).
 
-    The subgroup is built as a direct product of symmetric groups; the
-    embedding sends a tuple of block permutations to the block-diagonal
-    permutation of [n]."""
+    For the partition (n), or () when n = 0, that is S_n itself with the
+    identity embedding.  Any other subgroup is built as a direct product of
+    symmetric groups; the embedding sends a tuple of block permutations to
+    the block-diagonal permutation of [n]."""
     G = group if group is not None else FiniteGroup.symmetric(n)
     perm_index = {p: i for i, p in enumerate(G.labels)}
     out = []
     for lam in partitions(n):
+        if len(lam) <= 1:
+            out.append((lam, G, tuple(range(G.order))))
+            continue
         factors = [FiniteGroup.symmetric(p) for p in lam]
         H = factors[0]
         for f in factors[1:]:
@@ -752,7 +741,7 @@ def young_subgroups(n: int, group: FiniteGroup | None = None):
             pos += p
         embedding = []
         for label in H.labels:
-            blocks = flatten(label, lam) if len(lam) > 1 else [label]
+            blocks = flatten(label, lam)
             perm = list(range(n))
             for block, off, size in zip(blocks, offsets, lam):
                 for i in range(size):

@@ -564,6 +564,8 @@ def expr_to_json(expr) -> dict:
 
 
 def expr_from_json(data: dict):
+    if not isinstance(data, dict):
+        raise ValidationError(f"expression node must be an object, got {type(data).__name__}")
     kind = data.get("kind")
     if kind == "empty":
         return Empty()

@@ -18,7 +18,7 @@ from math import factorial
 from .cyclotomic import CyclotomicNumber
 from .errors import ValidationError
 from .genfun import FactoredRational, LinearForm
-from .grouptheory import CharacterTable, centralizer_order, mn_character, partitions
+from .grouptheory import CharacterTable, mn_character, multiplicity, partitions
 
 # a wreath label is a tuple of partitions, one per class (or irreducible) of G
 WreathLabel = tuple
@@ -104,15 +104,17 @@ class ClassFunction:
         )
 
 
-def wreath_inner_product(a: ClassFunction, b: ClassFunction) -> Fraction:
+def wreath_inner_product(a: ClassFunction, b: ClassFunction) -> int:
+    """The multiplicity <a, b> over the classes of the wreath product."""
     if a.n != b.n:
         raise ValidationError("class functions live on different degrees")
-    table = a.table
-    total = CyclotomicNumber.zero()
-    for label, size in wreath_classes(table, a.n):
-        total = total + a.values[label] * b.values[label].conjugate() * size
-    total = total * Fraction(1, wreath_group_order(table, a.n))
-    return total.rational_value()
+    classes = wreath_classes(a.table, a.n)
+    return multiplicity(
+        [size for _, size in classes],
+        [a.values[label] for label, _ in classes],
+        [b.values[label] for label, _ in classes],
+        "wreath multiplicity",
+    )
 
 
 def _merged_cycle_type(label: WreathLabel) -> tuple[int, ...]:
@@ -223,10 +225,7 @@ def tensor_stability_table(
         chi_l = wreath_irreducible_character(table, padded[0])
         chi_m = wreath_irreducible_character(table, padded[1])
         chi_n = wreath_irreducible_character(table, padded[2])
-        mult = wreath_inner_product(chi_l * chi_m, chi_n)
-        if mult.denominator != 1 or mult < 0:
-            raise ValidationError(f"non-integral tensor multiplicity {mult}")
-        out.append(int(mult))
+        out.append(wreath_inner_product(chi_l * chi_m, chi_n))
     return out
 
 
@@ -259,7 +258,6 @@ def decompose_induced(table: CharacterTable, i: int, n: int) -> dict:
     if n < 1:
         raise ValidationError("decompose_induced needs n >= 1")
     nvars = len(table.rows)
-    order = table.group_order
     content_mult: dict = {}
     out = {}
     for combo in itertools.product(range(nvars), repeat=n):
@@ -269,18 +267,15 @@ def decompose_induced(table: CharacterTable, i: int, n: int) -> dict:
         key = tuple(content)
         mult = content_mult.get(key)
         if mult is None:
-            total = CyclotomicNumber.zero()
+            # the character of V_(j_1) x ... x V_(j_n) restricted to the diagonal
+            tensor = []
             for c in range(table.n_classes):
-                prod = table.rows[i][c]
+                prod = CyclotomicNumber.one()
                 for j, e in enumerate(key):
                     if e:
-                        prod = prod * (table.rows[j][c].conjugate() ** e)
-                total = total + prod * table.class_sizes[c]
-            total = total * Fraction(1, order)
-            q = total.rational_value()
-            if q.denominator != 1 or q < 0:
-                raise ValidationError(f"non-integral induction multiplicity {q}")
-            mult = int(q)
+                        prod = prod * table.rows[j][c] ** e
+                tensor.append(prod)
+            mult = multiplicity(table.class_sizes, table.rows[i], tensor, "induction multiplicity")
             content_mult[key] = mult
         if mult:
             out[combo] = mult

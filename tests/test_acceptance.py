@@ -22,7 +22,6 @@ from quasilang.genfun import (
 from quasilang.grouptheory import (
     FiniteGroup,
     character_table,
-    cyclic_table,
     is_good_family,
     symmetric_table,
     young_subgroups,
@@ -416,7 +415,7 @@ def test_criterion_5_fws_series():
 def test_criterion_6_diagonal_induction():
     """Closed diagonal-induction series reproduce the reciprocity oracle for
     Z/2, Z/3, S_3 at n <= 4; the Z/2 trivial series is the stated half-sum."""
-    tables = [cyclic_table(2), cyclic_table(3), symmetric_table(3)]
+    tables = [character_table(FiniteGroup.cyclic(2)), character_table(FiniteGroup.cyclic(3)), symmetric_table(3)]
     for table in tables:
         nvars = len(table.rows)
         for i in range(nvars):
@@ -443,7 +442,7 @@ def test_criterion_6_diagonal_induction():
 def test_criterion_7_fs_fws_cross_check():
     """The Z/2 diagonal induction of the trivial module and the weight-zero
     principal projective over weighted sets agree in degrees 1..5."""
-    z2 = cyclic_table(2)
+    z2 = character_table(FiniteGroup.cyclic(2))
     F = wreath.diag_induced_series(z2, z2.trivial_index())
     wreath_series = F.expand((5, 5))
     fws_series, _ = fws_principal_series([(0,)], Z2, 5)
@@ -456,11 +455,11 @@ def test_criterion_7_fs_fws_cross_check():
 def test_criterion_8_wreath_stability():
     """Tensor multiplicities stabilize: constant tails over the test windows."""
     start = time.monotonic()
-    triv = cyclic_table(1)
+    triv = character_table(FiniteGroup.cyclic(1))
     lam = ((1,),)
     assert wreath.tensor_stability_table(triv, lam, lam, lam, range(3, 7)) == [1, 1, 1, 1]
 
-    z2 = cyclic_table(2)
+    z2 = character_table(FiniteGroup.cyclic(2))
     sgn_slot = 1 - z2.trivial_index()
     sgn1 = tuple((1,) if i == sgn_slot else () for i in range(2))
     empty = ((), ())

@@ -2,7 +2,7 @@ import json
 import subprocess
 import sys
 
-from quasilang.cli import dumps, execute_request
+from quasilang.cli import dumps, execute_request, main
 
 
 def run(req):
@@ -100,6 +100,33 @@ def test_group_commands():
 
     good = run({"cmd": "group.good", "group": {"construct": "symmetric", "n": 3}, "young": True})
     assert good["result"]["good"] is True and good["result"]["exponent_lcm"] == 2
+
+
+def test_young_family_needs_a_symmetric_group():
+    for group in ({"table": [[0, 1], [1, 0]]}, {"construct": "cyclic", "n": 3}):
+        resp = run({"cmd": "group.good", "group": group, "young": True})
+        assert resp["status"] == "error", group
+        (message,) = resp["diagnostics"]
+        assert message.startswith("ValidationError: young:"), message
+
+
+def test_payloads_that_are_not_objects_are_rejected():
+    for request in ([], [{"cmd": "group.table"}], "group.table", 3, None):
+        resp = run(request)
+        assert resp == {"status": "error", "diagnostics": ["ValidationError: request must be a JSON object"]}
+    for expr in ("a", ["a"], 1, {"kind": "union", "parts": "ab"}):
+        resp = run({"cmd": "lang.compile", "expr": expr, "alphabet": ["a"]})
+        assert resp["status"] == "error", expr
+        (message,) = resp["diagnostics"]
+        assert message.startswith("ValidationError: expression node must be an object"), message
+    assert run({"cmd": ["group.table"]})["diagnostics"] == ["unknown subcommand ['group.table']"]
+
+
+def test_cli_rejects_a_payload_that_is_not_an_object(tmp_path):
+    infile, outfile = tmp_path / "request.json", tmp_path / "response.json"
+    infile.write_text("[1, 2]")
+    assert main(["group.table", "--in", str(infile), "--out", str(outfile)]) == 1
+    assert json.loads(outfile.read_text())["diagnostics"] == ["ValidationError: request must be a JSON object"]
 
 
 def test_group_table_entries_out_of_range_are_rejected():

@@ -12,7 +12,6 @@ from quasilang.genfun import (
     certify_unambiguous,
     congruence_filter,
     cyclotomic_translate,
-    expand_rational,
     ordered_genfun,
     quasi_ordered_genfun,
     series_from_dfa,
@@ -203,14 +202,14 @@ def test_quasi_ordered_mod3():
 
 
 def test_expand_rational_examples():
-    assert expand_rational(FactoredRational.zero(2), (3, 3)).coefficients == {}
+    assert FactoredRational.zero(2).expand((3, 3)).coefficients == {}
     F = geom(1, 0)
-    s = expand_rational(F, (3,))
+    s = F.expand((3,))
     assert [s.coefficient((n,)).rational_value() for n in range(4)] == [1, 1, 1, 1]
 
     half = FactoredRational.constant(2, Fraction(1, 2))
     mixed = half * geom(2, 0, 1) + half * cyclotomic_translate(geom(2, 0, 1), (1, 0), 2)
-    assert expand_rational(mixed, (4, 4)).coefficient((2, 1)) == 3
+    assert mixed.expand((4, 4)).coefficient((2, 1)) == 3
 
 
 def test_addition_cancels_common_factors():

@@ -4,7 +4,7 @@ from fractions import Fraction
 
 import pytest
 
-from quasilang.cyclotomic import CyclotomicNumber, cyc_root
+from quasilang.cyclotomic import CyclotomicNumber
 from quasilang.errors import UnsupportedGroupError, ValidationError
 from quasilang.grouptheory import (
     FiniteGroup,
@@ -183,7 +183,7 @@ def test_character_table_cyclic():
     t.validate()
     for j in range(3):
         for k in range(3):
-            assert t.rows[j][k] == cyc_root(3, j * k)
+            assert t.rows[j][k] == CyclotomicNumber.root(3, j * k)
 
 
 def test_character_table_s3():

@@ -1,0 +1,175 @@
+"""The class-sum multiplicity kernel against the element sums it replaced,
+kept here as the reference.
+
+`restriction_matrix` and `abelianization_matrix` used to sum over every
+element of the subgroup; they now read each character at one element per
+conjugacy class, weighted by the class size.  Cyclic groups used to have a
+table of their own (rows zeta_n^(jk)); they now go through the abelian
+construction.  Both references below are the removed code, written out.
+"""
+
+from __future__ import annotations
+
+from fractions import Fraction
+
+import pytest
+
+from quasilang.cli import _table_to_json
+from quasilang.cyclotomic import CyclotomicNumber
+from quasilang.errors import ValidationError
+from quasilang.grouptheory import (
+    CharacterTable,
+    FiniteGroup,
+    abelian_characters,
+    abelianization_matrix,
+    character_table,
+    is_good_family,
+    multiplicity,
+    restriction_matrix,
+    young_subgroups,
+)
+
+# ---------------------------------------------------------------------------
+# element-sum reference
+
+
+def _as_nonneg_int(q: Fraction) -> int:
+    assert q.denominator == 1 and q >= 0, q
+    return int(q)
+
+
+def reference_restriction_matrix(G: FiniteGroup, H: FiniteGroup, emb) -> list[list[int]]:
+    tG, tH = character_table(G), character_table(H)
+    out = []
+    for i in range(len(tG.rows)):
+        row = []
+        for j in range(len(tH.rows)):
+            total = CyclotomicNumber.zero()
+            for h in range(H.order):
+                total = total + tG.value(i, emb[h]) * tH.value(j, H.inverse[h])
+            row.append(_as_nonneg_int((total * Fraction(1, H.order)).rational_value()))
+        out.append(row)
+    return out
+
+
+def reference_abelianization_matrix(H: FiniteGroup):
+    quotient, proj = H.quotient(H.commutator_subgroup())
+    chars, M = abelian_characters(quotient)
+    tH = character_table(H)
+    out = []
+    for i in range(len(tH.rows)):
+        row = []
+        for chi in chars:
+            total = CyclotomicNumber.zero()
+            for h in range(H.order):
+                total = total + tH.value(i, h) * CyclotomicNumber.root(M, -chi[proj[h]])
+            row.append(_as_nonneg_int((total * Fraction(1, H.order)).rational_value()))
+        out.append(row)
+    return out, M
+
+
+def reference_cyclic_table(n: int, group: FiniteGroup) -> CharacterTable:
+    rows = [[CyclotomicNumber.root(n, j * k) for k in range(n)] for j in range(n)]
+    return CharacterTable(
+        order=n,
+        class_sizes=[1] * n,
+        rows=rows,
+        identity_class=0,
+        row_names=tuple(range(n)),
+        class_names=tuple(range(n)),
+        group=group,
+        element_class=tuple(range(n)),
+    )
+
+
+# ---------------------------------------------------------------------------
+# subgroup families
+
+
+def _young_cases():
+    for n in (3, 4, 5):
+        G = FiniteGroup.symmetric(n)
+        for lam, H, emb in young_subgroups(n, G):
+            yield pytest.param(G, H, emb, id=f"S{n}>{lam}")
+
+
+def _cyclic_cases():
+    N = 12
+    G = FiniteGroup.cyclic(N)
+    for d in (1, 2, 3, 4, 6, 12):
+        yield pytest.param(G, FiniteGroup.cyclic(d), tuple(k * (N // d) for k in range(d)), id=f"Z{N}>Z{d}")
+
+
+def _product_cases():
+    s3, z2 = FiniteGroup.symmetric(3), FiniteGroup.cyclic(2)
+    G = FiniteGroup.direct_product(s3, z2)  # element (a, b) has index 2a + b
+    yield pytest.param(G, s3, tuple(2 * a for a in range(6)), id="S3xZ2>S3")
+    yield pytest.param(G, z2, (0, 1), id="S3xZ2>Z2")
+    yield pytest.param(G, G, tuple(range(12)), id="S3xZ2>S3xZ2")
+    # the diagonal Z/2 of Z/2 x Z/2
+    v4 = FiniteGroup.direct_product(z2, FiniteGroup.cyclic(2))
+    yield pytest.param(v4, z2, (0, 3), id="V4>diag")
+    # S_4 to the rotations of a square, a subgroup with non-real characters
+    s4 = FiniteGroup.symmetric(4)
+    index = {p: i for i, p in enumerate(s4.labels)}
+    powers = [(0, 1, 2, 3)]
+    for _ in range(3):
+        powers.append(tuple((x + 1) % 4 for x in powers[-1]))
+    yield pytest.param(s4, FiniteGroup.cyclic(4), tuple(index[p] for p in powers), id="S4>Z4")
+
+
+CASES = [*_young_cases(), *_cyclic_cases(), *_product_cases()]
+
+
+@pytest.mark.parametrize("G,H,emb", CASES)
+def test_restriction_matrix_matches_element_sum(G, H, emb):
+    assert restriction_matrix(G, H, emb) == reference_restriction_matrix(G, H, emb)
+
+
+@pytest.mark.parametrize("G,H,emb", CASES)
+def test_abelianization_matrix_matches_element_sum(G, H, emb):
+    assert abelianization_matrix(H) == reference_abelianization_matrix(H)
+
+
+@pytest.mark.parametrize("n", range(1, 25))
+def test_cyclic_groups_get_the_cyclic_table(n):
+    G = FiniteGroup.cyclic(n)
+    table = character_table(G)
+    reference = reference_cyclic_table(n, FiniteGroup.cyclic(n))
+    assert _table_to_json(table) == _table_to_json(reference)
+    assert table.element_class == reference.element_class
+
+
+def test_multiplicity_rejects_what_is_not_a_multiplicity():
+    z2 = character_table(FiniteGroup.cyclic(2))
+    triv = z2.rows[z2.trivial_index()]
+    one_point = [CyclotomicNumber.one(), CyclotomicNumber.zero()]
+    assert multiplicity(z2.class_sizes, triv, triv, "test") == 1
+    with pytest.raises(ValidationError, match="test: .* got 1/2"):
+        multiplicity(z2.class_sizes, one_point, triv, "test")
+    with pytest.raises(ValidationError, match="test: .* got -1"):
+        multiplicity(z2.class_sizes, [-x for x in triv], triv, "test")
+
+
+# ---------------------------------------------------------------------------
+# the partition (n) is S_n itself
+
+
+@pytest.mark.parametrize("n", [0, 1, 2, 3, 4, 5])
+def test_young_subgroup_of_partition_n_is_the_group(n):
+    G = FiniteGroup.symmetric(n)
+    family = young_subgroups(n, G)
+    lam, H, emb = family[0]
+    assert lam == ((n,) if n else ())
+    assert H is G and emb == tuple(range(G.order))
+    assert all(H is not G for _, H, _ in family[1:])
+
+
+@pytest.mark.parametrize("n", [3, 4, 5])
+@pytest.mark.parametrize("covering", [False, True])
+def test_good_family_unchanged_by_reusing_the_group(n, covering):
+    G = FiniteGroup.symmetric(n)
+    family = [(H, emb) for _, H, emb in young_subgroups(n, G)]
+    # the family as built before: S_n constructed again for the partition (n)
+    rebuilt = [(FiniteGroup.symmetric(n), tuple(range(G.order)))] + family[1:]
+    assert is_good_family(G, family, covering) == is_good_family(G, rebuilt, covering)

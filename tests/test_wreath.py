@@ -5,7 +5,7 @@ import pytest
 
 from quasilang.cyclotomic import CyclotomicNumber
 from quasilang.genfun import FactoredRational, LinearForm, cyclotomic_translate
-from quasilang.grouptheory import FiniteGroup, character_table, cyclic_table, symmetric_table
+from quasilang.grouptheory import FiniteGroup, character_table, symmetric_table
 from quasilang.wreath import (
     ClassFunction,
     decompose_induced,
@@ -21,8 +21,8 @@ from quasilang.wreath import (
     wreath_labels,
 )
 
-Z2 = cyclic_table(2)
-Z3 = cyclic_table(3)
+Z2 = character_table(FiniteGroup.cyclic(2))
+Z3 = character_table(FiniteGroup.cyclic(3))
 S3 = symmetric_table(3)
 
 
@@ -104,7 +104,7 @@ def test_wreath_characters_orthonormal(table, n):
 
 
 def test_trivial_group_degenerates_to_symmetric_characters():
-    triv = cyclic_table(1)
+    triv = character_table(FiniteGroup.cyclic(1))
     for n in range(1, 5):
         sn = symmetric_table(n)
         for lam in wreath_labels(1, n):
@@ -127,7 +127,7 @@ def test_pad_label():
 
 
 def test_stability_trivial_group():
-    triv = cyclic_table(1)
+    triv = character_table(FiniteGroup.cyclic(1))
     lam = ((1,),)
     values = tensor_stability_table(triv, lam, lam, lam, range(3, 7))
     assert values == [1, 1, 1, 1]
