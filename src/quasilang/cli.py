@@ -53,7 +53,19 @@ def _norm_from_json(data, alphabet) -> Norm:
     return Norm(mapping, int(data["size"]))
 
 
+def _at_least(req, field: str, least: int) -> int:
+    try:
+        value = int(req[field])
+    except (TypeError, ValueError):
+        raise ValidationError(f"{field} must be an integer, got {req[field]!r}") from None
+    if value < least:
+        raise ValidationError(f"{field} must be at least {least}, got {value}")
+    return value
+
+
 def _group_from_json(data) -> grouptheory.FiniteGroup:
+    if not isinstance(data, dict):
+        raise ValidationError(f"group must be a JSON object, got {type(data).__name__}")
     construct = data.get("construct")
     if construct == "cyclic":
         return grouptheory.FiniteGroup.cyclic(int(data["n"]))
@@ -61,6 +73,8 @@ def _group_from_json(data) -> grouptheory.FiniteGroup:
         return grouptheory.FiniteGroup.symmetric(int(data["n"]))
     if construct == "product":
         factors = [_group_from_json(f) for f in data["factors"]]
+        if not factors:
+            raise ValidationError("factors: a product needs at least one factor")
         g = factors[0]
         for f in factors[1:]:
             g = grouptheory.FiniteGroup.direct_product(g, f)
@@ -172,12 +186,9 @@ def _cmd_poset_ideal(req):
 def _cmd_poset_series(req):
     group = AbelianGroup(tuple(int(n) for n in req["orders"]))
     weights = [tuple(int(x) for x in w) for w in req["weights"]]
-    bound = int(req.get("degree", 5))
+    bound = _at_least(req, "degree", 0) if "degree" in req else 5
     series, closed = wordposet.fws_principal_series(weights, group, bound)
-    return {
-        "series": series.to_json(),
-        "closed": None if closed is None else closed.to_json(),
-    }
+    return {"series": series.to_json(), "closed": closed.to_json()}
 
 
 def _cmd_group_table(req):
@@ -252,13 +263,6 @@ def _cmd_segre_product(req):
     x = segre.SimplicialComplex.from_json(req["x"])
     y = segre.SimplicialComplex.from_json(req["y"])
     return segre.segre_product(x, y).to_json()
-
-
-def _at_least(req, field: str, least: int) -> int:
-    value = int(req[field])
-    if value < least:
-        raise ValidationError(f"{field} must be at least {least}, got {value}")
-    return value
 
 
 def _cmd_segre_homology(req):

@@ -157,6 +157,33 @@ class FactoredRational:
             order = lcm(order, c.order)
         return cls(nvars, order, {(0,) * nvars: CyclotomicNumber.one(order)}, (form,))
 
+    @classmethod
+    def geometric_sum(cls, nvars: int, terms) -> "FactoredRational":
+        """sum_j c_j / (1 - form_j) over (form_j, c_j) pairs.
+
+        The denominator is prod_j (1 - form_j), with no factor for a zero
+        form, so the forms should be distinct.  The numerator is built in one
+        pass, N <- N (1 - form_j) + c_j P and P <- P (1 - form_j), which costs
+        two products by a linear polynomial per term where pairwise `+`
+        rebuilds P each time.
+        """
+        order = 1
+        for form, c in terms:
+            order = lcm(order, c.order, *(v.order for _, v in form.terms))
+        one = {(0,) * nvars: CyclotomicNumber.one(order)}
+        num: dict = {}
+        den = one
+        factors = []
+        for form, c in terms:
+            if not form.terms:
+                num = _padd(num, _pscale(den, c))
+                continue
+            factor = _padd(one, _pscale(form.as_poly(nvars), -1))
+            num = _padd(_pmul(num, factor), _pscale(den, c))
+            den = _pmul(den, factor)
+            factors.append(form)
+        return cls(nvars, order, num, factors)
+
     # -- arithmetic ----------------------------------------------------------
 
     def _check(self, other: "FactoredRational") -> None:

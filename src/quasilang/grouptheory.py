@@ -251,6 +251,8 @@ class FiniteGroup:
 
     @classmethod
     def symmetric(cls, n: int) -> "FiniteGroup":
+        if n < 0:
+            raise ValidationError(f"n must be at least 0, got {n}")
         elems = sorted(itertools.permutations(range(n)))
         index = {p: i for i, p in enumerate(elems)}
         # composition (p * q)(i) = p[q[i]]: q acts first.  Column q lists p * q
@@ -539,6 +541,8 @@ def character_table(group: FiniteGroup) -> CharacterTable:
 
 def validate_embedding(G: FiniteGroup, H: FiniteGroup, embedding) -> None:
     emb = tuple(embedding)
+    if any(not isinstance(e, int) or not 0 <= e < G.order for e in emb):
+        raise ValidationError(f"embedding entries must lie in range({G.order})")
     if len(emb) != H.order or len(set(emb)) != H.order:
         raise ValidationError("embedding must be injective on H")
     for a in range(H.order):

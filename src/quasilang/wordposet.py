@@ -17,19 +17,13 @@ from functools import lru_cache
 from math import factorial
 
 from .cyclotomic import CyclotomicNumber
-from .errors import (
-    AmbiguousExpressionError,
-    NoWitnessError,
-    PreconditionError,
-    ValidationError,
-)
-from .genfun import FactoredRational, SeriesTruncation, quasi_ordered_genfun
+from .errors import NoWitnessError, PreconditionError, ValidationError
+from .genfun import FactoredRational, LinearForm, SeriesTruncation
 from .langkit import (
     AbelianGroup,
     Concat,
     CongruenceSpec,
     Epsilon,
-    Norm,
     QuasiOrderedExpr,
     Star,
     Sym,
@@ -502,8 +496,8 @@ def principal_ideal_language(
     Each minimal word t contributes the branch (t_1) Pi_1* (t_2) Pi_2* ...
     with Pi_k all weighted letters seen so far.  With reduced_stars the k-th
     star excludes the symbol t_(k+1), which forces the leftmost parse: the
-    language is unchanged but each branch becomes unambiguous, which the
-    closed-form pipeline needs.
+    language is unchanged but each branch becomes unambiguous, so that
+    `genfun.closed` can certify a branch and count it.
     """
     alphabet = tuple(letters) if letters is not None else tuple(sorted(set(x.letters), key=repr))
     if not set(x.letters) <= set(alphabet):
@@ -744,9 +738,16 @@ def fws_principal_series(weights, group: AbelianGroup, bound: int):
 
     The coefficient of t^n (n over the elements of Lambda) is C_n times the
     number of weight-preserving surjections from the multiset [n] onto the
-    given weighted set, with C_n the multinomial coefficient.  Returns the
-    truncated series together with a closed factored form when the ideal
-    languages of all orderings certify unambiguous (None otherwise).
+    given weighted set, with C_n the multinomial coefficient.  Returns that
+    count, truncated at `bound`, together with the closed form, which is
+    never None: inclusion-exclusion over the image S of the surjection and
+    character orthogonality on each fiber sum give
+
+        sum_S (-1)^(k-|S|) [w_i = 0 off S] |Lambda|^-|S| sum_(chi in dual^S)
+            prod_(i in S) chi_i(w_i)^-1 / (1 - sum_g (sum_(i in S) chi_i(g)) t_g).
+
+    The multiset of the chi_i fixes the linear form, so the terms are summed
+    per multiset and each form with a nonzero coefficient is added once.
     """
     weights = tuple(weights)
     for w in weights:
@@ -766,16 +767,27 @@ def fws_principal_series(weights, group: AbelianGroup, bound: int):
             coeffs[n] = CyclotomicNumber.from_rational(Fraction(multinomial(n) * count))
     series = SeriesTruncation(1, bounds, coeffs)
 
-    closed = FactoredRational.zero(nvars)
-    try:
-        for ordering in sorted(set(itertools.permutations(weights))):
-            x0 = WeightedWord(tuple(range(len(ordering))), ordering, group)
-            q = principal_ideal_language(
-                x0, letters=tuple(range(len(ordering))), reduced_stars=True
+    # chi_m(g) = zeta_N^char_exponent(m, g) for m in Lambda; None leaves point i
+    # out of the image S, which only a zero weight allows
+    N = group.exponent
+    options = [elements + [None] if w == group.identity() else elements for w in weights]
+    coefficient: dict = {}
+    for choice in itertools.product(*options):
+        chars = tuple(sorted(m for m in choice if m is not None))
+        power = -sum(group.char_exponent(m, w) for m, w in zip(choice, weights) if m is not None)
+        term = CyclotomicNumber.root(N, power) * (-1) ** (len(weights) - len(chars))
+        coefficient[chars] = coefficient[chars] + term if chars in coefficient else term
+    terms = []
+    for chars in sorted(coefficient):
+        c = coefficient[chars]
+        if c.is_zero():
+            continue
+        form = {
+            v: sum(
+                (CyclotomicNumber.root(N, group.char_exponent(m, g)) for m in chars),
+                CyclotomicNumber.zero(N),
             )
-            F = quasi_ordered_genfun(q, Norm.universal(q.cong.alphabet))
-            mapping = [elements.index(w) for (_, w) in q.cong.alphabet]
-            closed = closed + F.rename_variables(mapping, nvars)
-    except AmbiguousExpressionError:
-        return series, None
-    return series, closed
+            for v, g in enumerate(elements)
+        }
+        terms.append((LinearForm(form), c * Fraction(1, group.size ** len(chars))))
+    return series, FactoredRational.geometric_sum(nvars, terms)

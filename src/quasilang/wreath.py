@@ -244,12 +244,12 @@ def diag_induced_series(table: CharacterTable, i: int) -> FactoredRational:
     """
     nvars = len(table.rows)
     order = table.group_order
-    total = FactoredRational.zero(nvars)
+    terms = []
     for c in range(table.n_classes):
         form = LinearForm({j: table.rows[j][c] for j in range(nvars)})
         weight = table.rows[i][c].conjugate() * Fraction(table.class_sizes[c], order)
-        total = total + FactoredRational.geometric(nvars, form).scale(weight)
-    return total
+        terms.append((form, weight))
+    return FactoredRational.geometric_sum(nvars, terms)
 
 
 def decompose_induced(table: CharacterTable, i: int, n: int) -> dict:

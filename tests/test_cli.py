@@ -213,6 +213,51 @@ def test_segre_degrees_out_of_range_are_rejected():
     assert run(dict(series, nmax=1))["status"] == "ok"
 
 
+def test_poset_series_degree_is_validated():
+    base = {"cmd": "poset.series", "orders": [2], "weights": [[1]]}
+    for degree, expected in [
+        (-1, "ValidationError: degree must be at least 0, got -1"),
+        ("x", "ValidationError: degree must be an integer, got 'x'"),
+    ]:
+        resp = run(dict(base, degree=degree))
+        assert resp == {"status": "error", "diagnostics": [expected]}, degree
+    # degree 0 is the constant term alone; the closed form is always given
+    resp = run(dict(base, degree=0))["result"]
+    assert resp["series"] == {"order": 1, "bound": [0, 0], "coefficients": []}
+    assert resp["closed"] is not None
+    assert run(dict(base, weights=[[1], [0], [1]], degree=2))["result"]["closed"] is not None
+
+
+def test_malformed_group_payloads_are_rejected():
+    z2 = {"construct": "cyclic", "n": 2}
+    trivial = {"construct": "cyclic", "n": 1}
+    for req, expected in [
+        (
+            {"cmd": "group.table", "group": {"construct": "product", "factors": []}},
+            "ValidationError: factors: a product needs at least one factor",
+        ),
+        ({"cmd": "group.table", "group": [[0]]}, "ValidationError: group must be a JSON object, got list"),
+        (
+            {"cmd": "group.restrict", "group": z2, "subgroup": trivial, "embedding": [5]},
+            "ValidationError: embedding entries must lie in range(2)",
+        ),
+        (
+            {"cmd": "group.restrict", "group": z2, "subgroup": trivial, "embedding": [-1]},
+            "ValidationError: embedding entries must lie in range(2)",
+        ),
+        (
+            {"cmd": "group.table", "group": {"construct": "symmetric", "n": -1}},
+            "ValidationError: n must be at least 0, got -1",
+        ),
+    ]:
+        assert run(req) == {"status": "error", "diagnostics": [expected]}, req
+    # the smallest accepted payloads still answer
+    product = {"construct": "product", "factors": [z2]}
+    assert run({"cmd": "group.table", "group": product})["result"]["order"] == 2
+    assert run({"cmd": "group.restrict", "group": z2, "subgroup": trivial, "embedding": [0]})["result"] == [[1], [1]]
+    assert run({"cmd": "group.table", "group": {"construct": "symmetric", "n": 0}})["result"]["order"] == 1
+
+
 def test_determinism_byte_identical():
     req = {"cmd": "group.table", "group": {"construct": "cyclic", "n": 3}}
     a = dumps(execute_request(dict(req)))

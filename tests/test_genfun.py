@@ -1,4 +1,5 @@
 import itertools
+import random
 from fractions import Fraction
 
 import pytest
@@ -236,3 +237,26 @@ def test_series_json_round_trip():
     blob = s.to_json()
     t = SeriesTruncation.from_json(blob)
     assert t == s and t.to_json() == blob
+
+
+def test_geometric_sum_equals_pairwise_addition():
+    rng = random.Random(7)
+    for order, nvars in [(1, 2), (3, 3), (4, 2), (6, 2)]:
+        terms = []
+        seen = set()
+        while len(terms) < 5:
+            form = LinearForm(
+                {v: CyclotomicNumber.root(order, rng.randrange(order)) * rng.randint(-1, 2) for v in range(nvars)}
+            )
+            if form.terms and form.key(order) not in seen:
+                seen.add(form.key(order))
+                terms.append((form, CyclotomicNumber.root(order, rng.randrange(order)) * Fraction(rng.randint(1, 4), 3)))
+        # a zero form adds no factor, wherever it comes
+        terms.insert(2, (LinearForm({}), CyclotomicNumber.from_rational(Fraction(rng.randint(1, 3), 2))))
+        pairwise = FactoredRational.zero(nvars)
+        for form, c in terms:
+            term = FactoredRational.geometric(nvars, form) if form.terms else FactoredRational.one(nvars)
+            pairwise = pairwise + term.scale(c)
+        # the same distinct factors, hence the same numerator and the same JSON
+        assert FactoredRational.geometric_sum(nvars, terms).to_json() == pairwise.to_json()
+    assert FactoredRational.geometric_sum(2, []).to_json() == FactoredRational.zero(2).to_json()
