@@ -53,11 +53,14 @@ def _norm_from_json(data, alphabet) -> Norm:
     return Norm(mapping, int(data["size"]))
 
 
-def _at_least(req, field: str, least: int) -> int:
-    try:
-        value = int(req[field])
-    except (TypeError, ValueError):
-        raise ValidationError(f"{field} must be an integer, got {req[field]!r}") from None
+def _at_least(req, field: str, least: int, default=None) -> int:
+    """req[field], an int (not a bool) of at least `least`; `default` when
+    the field is absent and a default is given."""
+    if default is not None and field not in req:
+        return default
+    value = req[field]
+    if not isinstance(value, int) or isinstance(value, bool):
+        raise ValidationError(f"{field} must be an integer, got {value!r}")
     if value < least:
         raise ValidationError(f"{field} must be at least {least}, got {value}")
     return value
@@ -186,7 +189,7 @@ def _cmd_poset_ideal(req):
 def _cmd_poset_series(req):
     group = AbelianGroup(tuple(int(n) for n in req["orders"]))
     weights = [tuple(int(x) for x in w) for w in req["weights"]]
-    bound = _at_least(req, "degree", 0) if "degree" in req else 5
+    bound = _at_least(req, "degree", 0, 5)
     series, closed = wordposet.fws_principal_series(weights, group, bound)
     return {"series": series.to_json(), "closed": closed.to_json()}
 
@@ -259,15 +262,20 @@ def _cmd_wreath_hilbert(req):
     return out
 
 
+def _budget(req) -> int:
+    """The simplex budget of a Segre construction (also the --budget flag)."""
+    return _at_least(req, "budget", 0, segre.DEFAULT_SIMPLEX_BUDGET)
+
+
 def _cmd_segre_product(req):
     x = segre.SimplicialComplex.from_json(req["x"])
     y = segre.SimplicialComplex.from_json(req["y"])
-    return segre.segre_product(x, y).to_json()
+    return segre.segre_product(x, y, budget=_budget(req)).to_json()
 
 
 def _cmd_segre_homology(req):
     x = segre.SimplicialComplex.from_json(req["complex"])
-    i_max = _at_least(req, "i_max", 0) if "i_max" in req else x.dim
+    i_max = _at_least(req, "i_max", 0, x.dim)
     data = segre.homology_ranks(x, i_max)
     return {"ranks": {str(k): v for k, v in sorted(data.ranks.items())}}
 
@@ -276,20 +284,14 @@ def _cmd_segre_series(req):
     x = segre.SimplicialComplex.from_json(req["complex"])
     group = _group_from_json(req["group"])
     table = grouptheory.character_table(group)
-    maps = []
-    for perm in req["action"]:
-        maps.append({segre_from_vertex(k): segre_from_vertex(v) for k, v in perm})
+    fix = segre.SimplicialComplex.vertex_from_json
+    maps = [{fix(k): fix(v) for k, v in perm} for perm in req["action"]]
     action = segre.GroupAction(table, x, maps)
-    budget = int(req.get("budget", segre.DEFAULT_SIMPLEX_BUDGET))
-    nmax = _at_least(req, "nmax", 1) if "nmax" in req else 2
-    data = segre.equivariant_hilbert_data(action, _at_least(req, "i", 0), nmax, budget)
+    nmax = _at_least(req, "nmax", 1, 2)
+    data = segre.equivariant_hilbert_data(action, _at_least(req, "i", 0), nmax, _budget(req))
     return [
         [[list(content), mult] for content, mult in sorted(poly.items())] for poly in data
     ]
-
-
-def segre_from_vertex(v):
-    return tuple(v) if isinstance(v, list) else v
 
 
 HANDLERS = {

@@ -12,6 +12,8 @@ the image of each basis cycle against that stored form.
 from __future__ import annotations
 
 import itertools
+import math
+import operator
 from fractions import Fraction
 
 from .cyclotomic import CyclotomicNumber
@@ -67,61 +69,45 @@ class SimplicialComplex:
             ],
         }
 
+    @staticmethod
+    def vertex_from_json(v):
+        """A vertex read from JSON: a list is a tuple vertex."""
+        return tuple(v) if isinstance(v, list) else v
+
     @classmethod
     def from_json(cls, data: dict) -> "SimplicialComplex":
-        def fix(v):
-            return tuple(v) if isinstance(v, list) else v
-
+        fix = cls.vertex_from_json
         return cls([fix(v) for v in data["vertices"]], [[fix(x) for x in f] for f in data["facets"]])
 
 
-def segre_product(x: SimplicialComplex, y: SimplicialComplex) -> SimplicialComplex:
-    """Simplices are S in X_0 x Y_0 with both projections simplices of the
-    same cardinality as S (no collapsing in either coordinate)."""
+def segre_product(*factors: SimplicialComplex, budget: int = DEFAULT_SIMPLEX_BUDGET) -> SimplicialComplex:
+    """The Segre product of k >= 1 complexes, X^(*n) being n copies of X.
+
+    Vertices are the tuples (v_1, ..., v_k) of factor vertices, and a set S
+    of them is a simplex when every projection is a simplex of the same
+    cardinality as S.  S extends exactly when every projection extends, so
+    the facets are zip(s_1, p_2 s_2, ..., p_k s_k) over equal-dimension
+    simplices s_i, at least one of them a facet of its factor, and orderings
+    p_i.  There are prod_i |X^i_d| * ((d+1)!)^(k-1) simplices of dimension
+    d; their total is checked against the budget before anything is built."""
+    if not factors:
+        raise ValidationError("a Segre product needs at least one factor")
+    dims = set.intersection(*(set(f.simplices) for f in factors))
+    count = sum(
+        math.prod(len(f.simplices[d]) for f in factors) * math.factorial(d + 1) ** (len(factors) - 1)
+        for d in dims
+    )
+    if count > budget:
+        raise ValidationError(f"simplex budget {budget} exceeded at {count} simplices")
+    tops = [set(f.facets()) for f in factors]
     facets = []
-    for d in x.simplices:
-        if d not in y.simplices:
-            continue
-        for sx in x.simplices[d]:
-            for sy in y.simplices[d]:
-                for perm in itertools.permutations(sy):
-                    facets.append(tuple(zip(sx, perm)))
-    vertices = [(a, b) for a in x.vertices for b in y.vertices]
-    return SimplicialComplex(vertices, facets)
-
-
-def _flatten_pair(v):
-    """(tuple, w) -> tuple + (w,), keeping iterated product vertices flat."""
-    a, b = v
-    if isinstance(a, tuple):
-        return a + (b,)
-    return (a, b)
-
-
-def iterated_segre(x: SimplicialComplex, n: int, budget: int = DEFAULT_SIMPLEX_BUDGET) -> SimplicialComplex:
-    """X^(*n) with vertices canonically labeled by n-tuples of X_0."""
-    if n < 1:
-        raise ValidationError("iterated Segre power needs n >= 1")
-    if n == 1:
-        out = SimplicialComplex(
-            [(v,) for v in x.vertices],
-            [tuple((v,) for v in s) for group in x.simplices.values() for s in group],
-        )
-        return out
-    acc = iterated_segre(x, 1, budget)
-    for _ in range(n - 1):
-        prod = segre_product(acc, x)
-        relabeled = [
-            tuple(_flatten_pair(v) for v in s)
-            for group in prod.simplices.values()
-            for s in group
-        ]
-        acc = SimplicialComplex([_flatten_pair(v) for v in prod.vertices], relabeled)
-        if acc.simplex_count() > budget:
-            raise ValidationError(
-                f"simplex budget {budget} exceeded at {acc.simplex_count()} simplices"
-            )
-    return acc
+    for d in dims:
+        for simplices in itertools.product(*(f.simplices[d] for f in factors)):
+            if any(map(operator.contains, tops, simplices)):
+                first, *rest = simplices
+                for perms in itertools.product(*map(itertools.permutations, rest)):
+                    facets.append(zip(first, *perms))
+    return SimplicialComplex(itertools.product(*(f.vertices for f in factors)), facets)
 
 
 # ---------------------------------------------------------------------------
@@ -347,7 +333,7 @@ def equivariant_hilbert_data(
     conj = [[row[c].conjugate() for c in rep_class] for row in action_table.rows]
     rep_sizes = [action_table.class_sizes[c] for c in rep_class]
     for n in range(1, n_max + 1):
-        power = iterated_segre(x, n, budget)
+        power = segre_product(*[x] * n, budget=budget)
         homology = homology_ranks(power, i)
         traces = {}
         for combo in itertools.product(range(len(class_reps)), repeat=n):

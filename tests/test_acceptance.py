@@ -48,7 +48,7 @@ from quasilang.segre import (
     check_boundary_squares_to_zero,
     equivariant_hilbert_data,
     homology_ranks,
-    iterated_segre,
+    segre_product,
 )
 from quasilang.wordposet import (
     IdealRecognizer,
@@ -490,12 +490,12 @@ def test_criterion_10_segre():
     t_0^2 + t_1^2 at n = 2; boundaries square to zero throughout."""
     edge = SimplicialComplex([1, 2], [[1, 2]])
     for n in range(1, 5):
-        power = iterated_segre(edge, n)
+        power = segre_product(*[edge] * n)
         check_boundary_squares_to_zero(power)
         assert homology_ranks(power, 0).rank(0) == 2 ** (n - 1)
 
     table = abelian_table(FiniteGroup.cyclic(2))
-    base = iterated_segre(edge, 1)
+    base = segre_product(edge)
     action = GroupAction(
         table,
         base,

@@ -1,6 +1,8 @@
+import itertools
 import json
 import subprocess
 import sys
+import time
 
 from quasilang.cli import dumps, execute_request, main
 
@@ -190,6 +192,34 @@ def test_segre_commands():
     assert series["result"][1] == [[[0, 2], 1], [[2, 0], 1]]
 
 
+def test_segre_product_is_budgeted(tmp_path, capsys):
+    """The cube of the 6-vertex 2-skeleton has 301,716 simplices; the
+    default budget refuses it before building it."""
+    skeleton = {"vertices": list(range(1, 7)), "facets": [list(f) for f in itertools.combinations(range(1, 7), 3)]}
+    square = run({"cmd": "segre.product", "x": skeleton, "y": skeleton})["result"]
+    start = time.monotonic()
+    resp = run({"cmd": "segre.product", "x": square, "y": skeleton})
+    elapsed = time.monotonic() - start
+    assert resp == {
+        "status": "error",
+        "diagnostics": ["ValidationError: simplex budget 200000 exceeded at 301716 simplices"],
+    }
+    assert elapsed < 1, f"took {elapsed:.1f} s"
+    # the square of an edge has 4 vertices and 2 edges
+    edge = {"vertices": [1, 2], "facets": [[1, 2]]}
+    product = {"cmd": "segre.product", "x": edge, "y": edge}
+    assert run(dict(product, budget=6))["status"] == "ok"
+    assert run(dict(product, budget=5))["diagnostics"] == [
+        "ValidationError: simplex budget 5 exceeded at 6 simplices"
+    ]
+    path = tmp_path / "edges.json"
+    path.write_text(json.dumps({"x": edge, "y": edge}))
+    assert main(["segre.product", "--in", str(path), "--budget", "5"]) == 1
+    assert json.loads(capsys.readouterr().out)["diagnostics"] == [
+        "ValidationError: simplex budget 5 exceeded at 6 simplices"
+    ]
+
+
 def test_segre_degrees_out_of_range_are_rejected():
     edge = {"vertices": [1, 2], "facets": [[1, 2]]}
     series = {
@@ -208,6 +238,10 @@ def test_segre_degrees_out_of_range_are_rejected():
         assert resp["status"] == "error", req
         (message,) = resp["diagnostics"]
         assert message.startswith("ValidationError: " + field + " must be at least"), message
+    assert run({"cmd": "segre.homology", "complex": edge, "i_max": "1"}) == {
+        "status": "error",
+        "diagnostics": ["ValidationError: i_max must be an integer, got '1'"],
+    }
     # the smallest accepted values still answer
     assert run({"cmd": "segre.homology", "complex": edge, "i_max": 0})["result"] == {"ranks": {"0": 1}}
     assert run(dict(series, nmax=1))["status"] == "ok"
@@ -218,6 +252,8 @@ def test_poset_series_degree_is_validated():
     for degree, expected in [
         (-1, "ValidationError: degree must be at least 0, got -1"),
         ("x", "ValidationError: degree must be an integer, got 'x'"),
+        (2.7, "ValidationError: degree must be an integer, got 2.7"),
+        (True, "ValidationError: degree must be an integer, got True"),
     ]:
         resp = run(dict(base, degree=degree))
         assert resp == {"status": "error", "diagnostics": [expected]}, degree

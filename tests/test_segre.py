@@ -16,7 +16,6 @@ from quasilang.segre import (
     equivariant_hilbert_data,
     equivariant_trace,
     homology_ranks,
-    iterated_segre,
     segre_product,
 )
 
@@ -55,13 +54,15 @@ def test_segre_vertex_count():
     x = triangle_boundary()
     prod = segre_product(x, edge())
     assert len(prod.vertices) == 6
+    with pytest.raises(ValidationError, match="at least one factor"):
+        segre_product()
 
 
 def test_boundary_squares_to_zero():
     for complex_ in [
         triangle_boundary(),
         SimplicialComplex([1, 2, 3, 4], [[1, 2, 3], [2, 3, 4]]),
-        iterated_segre(edge(), 3),
+        segre_product(*[edge()] * 3),
     ]:
         check_boundary_squares_to_zero(complex_)
 
@@ -85,7 +86,7 @@ def test_homology_filled_triangle():
 
 def test_edge_powers_components():
     for n in range(1, 5):
-        power = iterated_segre(edge(), n)
+        power = segre_product(*[edge()] * n)
         data = homology_ranks(power, 0)
         assert data.rank(0) == 2 ** (n - 1)
 
@@ -109,7 +110,7 @@ def test_h0_equals_component_count():
     for complex_ in [
         edge(),
         triangle_boundary(),
-        iterated_segre(edge(), 3),
+        segre_product(*[edge()] * 3),
         SimplicialComplex([1, 2, 3, 4, 5], [[1, 2], [3, 4], [5]]),
     ]:
         assert homology_ranks(complex_, 0).rank(0) == union_find_components(complex_)
@@ -118,7 +119,7 @@ def test_h0_equals_component_count():
 def z2_swap_action():
     g = FiniteGroup.cyclic(2)
     table = abelian_table(g)
-    base = iterated_segre(edge(), 1)  # vertices (1,), (2,)
+    base = segre_product(edge())  # vertices (1,), (2,)
     maps = [
         {(1,): (1,), (2,): (2,)},
         {(1,): (2,), (2,): (1,)},
@@ -129,14 +130,14 @@ def z2_swap_action():
 def test_group_action_validation():
     g = FiniteGroup.cyclic(2)
     table = abelian_table(g)
-    base = iterated_segre(edge(), 1)
+    base = segre_product(edge())
     with pytest.raises(ValidationError):
         GroupAction(table, base, [{(1,): (1,), (2,): (2,)}, {(1,): (1,), (2,): (1,)}])
 
 
 def test_equivariant_traces_edge_square():
     action = z2_swap_action()
-    power = iterated_segre(edge(), 2)
+    power = segre_product(edge(), edge())
     hom = homology_ranks(power, 0)
     # identity trace = rank, full swap preserves both components
     ident = {v: v for v in power.vertices}
@@ -166,7 +167,7 @@ def test_equivariant_identity_trace_is_rank():
 
 def z4_rotating_square():
     """Z/4 has characters with values +-i, so conjugation is not the identity."""
-    square = iterated_segre(SimplicialComplex([1, 2, 3, 4], [[1, 2], [2, 3], [3, 4], [1, 4]]), 1)
+    square = segre_product(SimplicialComplex([1, 2, 3, 4], [[1, 2], [2, 3], [3, 4], [1, 4]]))
     maps = [{(v,): ((v - 1 + g) % 4 + 1,) for v in range(1, 5)} for g in range(4)]
     return GroupAction(character_table(FiniteGroup.cyclic(4)), square, maps)
 
@@ -174,7 +175,7 @@ def z4_rotating_square():
 def s3_permuting_triangle():
     """S3 has classes of sizes 1, 2 and 3, so class weights matter."""
     g = FiniteGroup.symmetric(3)
-    circle = iterated_segre(triangle_boundary(), 1)
+    circle = segre_product(triangle_boundary())
     maps = [{(v,): (p[v - 1] + 1,) for v in range(1, 4)} for p in g.labels]
     return GroupAction(character_table(g), circle, maps)
 
@@ -184,7 +185,7 @@ def direct_multiplicities(action, i, n):
     with chi(g^-1) in place of the conjugate of chi(g)."""
     table = action.table
     group = table.group
-    power = iterated_segre(action.complex, n)
+    power = segre_product(*[action.complex] * n)
     hom = homology_ranks(power, i)
     traces = {}
     for gs in itertools.product(range(group.order), repeat=n):
@@ -226,7 +227,7 @@ def test_json_round_trip():
 def test_circle_fourth_power_homology_within_bound():
     """circle^{*4} is a graph on 81 vertices with 648 edges."""
     start = time.monotonic()
-    data = homology_ranks(iterated_segre(triangle_boundary(), 4), 1)
+    data = homology_ranks(segre_product(*[triangle_boundary()] * 4), 1)
     elapsed = time.monotonic() - start
     assert data.ranks == {0: 1, 1: 568}
     assert elapsed < 10, f"took {elapsed:.1f} s"
@@ -255,6 +256,28 @@ def test_circle_rotation_series_to_cube_within_bound():
     assert elapsed < 10, f"took {elapsed:.1f} s"
 
 
+def test_series_budget_refuses_a_power_before_building_it():
+    """The cube of the 6-vertex 2-skeleton has 301,716 simplices, over the
+    default budget; its square has 2,886."""
+    req = {
+        "cmd": "segre.series",
+        "complex": {"vertices": list(range(1, 7)), "facets": [list(f) for f in itertools.combinations(range(1, 7), 3)]},
+        "group": {"construct": "cyclic", "n": 1},
+        "action": [[[v, v] for v in range(1, 7)]],
+        "i": 1,
+        "nmax": 3,
+    }
+    start = time.monotonic()
+    resp = execute_request(req)
+    elapsed = time.monotonic() - start
+    assert resp == {
+        "status": "error",
+        "diagnostics": ["ValidationError: simplex budget 200000 exceeded at 301716 simplices"],
+    }
+    assert elapsed < 1, f"took {elapsed:.1f} s"
+    assert execute_request(dict(req, nmax=2))["status"] == "ok"
+
+
 def test_projective_plane_needs_a_non_unit_pivot():
     """The 6-vertex RP^2 has rational homology of a point; its boundary
     elimination meets a pivot that is not +-1, so entries become Fractions."""
@@ -272,7 +295,7 @@ def test_projective_plane_needs_a_non_unit_pivot():
 
 
 def test_unit_pivots_keep_integer_entries():
-    data = homology_ranks(iterated_segre(triangle_boundary(), 2), 1)
+    data = homology_ranks(segre_product(triangle_boundary(), triangle_boundary()), 1)
     entries = [
         v for form in data.forms.values() for vec, tags in form.rows.values() for v in [*vec.values(), *tags.values()]
     ]

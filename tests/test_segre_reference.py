@@ -1,5 +1,10 @@
-"""The sparse Segre homology kernel against the dense Fraction elimination it
-replaced, kept here as the reference.
+"""The k-ary Segre product against the pairwise product and relabel loop it
+replaced, and the sparse Segre homology kernel against the dense Fraction
+elimination it replaced, both kept here as references.
+
+The pairwise reference emits every pair of equal-dimension simplices, in
+every dimension, as a facet, and builds a power by re-closing each
+intermediate power with its pair vertices flattened to tuples.
 
 The reference stores boundary maps as dense matrices and runs a separate
 Gauss-Jordan routine per job (rank, nullspace, solve, independence modulo
@@ -14,6 +19,7 @@ import itertools
 from fractions import Fraction
 from unittest import mock
 
+import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
@@ -25,9 +31,51 @@ from quasilang.segre import (
     SimplicialComplex,
     equivariant_hilbert_data,
     homology_ranks,
-    iterated_segre,
     segre_product,
 )
+
+# ---------------------------------------------------------------------------
+# pairwise product reference
+
+
+def pairwise_segre_product(x: SimplicialComplex, y: SimplicialComplex) -> SimplicialComplex:
+    facets = []
+    for d in x.simplices:
+        if d not in y.simplices:
+            continue
+        for sx in x.simplices[d]:
+            for sy in y.simplices[d]:
+                for perm in itertools.permutations(sy):
+                    facets.append(tuple(zip(sx, perm)))
+    vertices = [(a, b) for a in x.vertices for b in y.vertices]
+    return SimplicialComplex(vertices, facets)
+
+
+def _flatten_pair(v):
+    """(tuple, w) -> tuple + (w,), keeping iterated product vertices flat."""
+    a, b = v
+    if isinstance(a, tuple):
+        return a + (b,)
+    return (a, b)
+
+
+def relabeled_power(factors: list[SimplicialComplex]) -> SimplicialComplex:
+    """X^1 * ... * X^k with vertices the k-tuples of factor vertices."""
+    first = factors[0]
+    acc = SimplicialComplex(
+        [(v,) for v in first.vertices],
+        [tuple((v,) for v in s) for group in first.simplices.values() for s in group],
+    )
+    for x in factors[1:]:
+        prod = pairwise_segre_product(acc, x)
+        relabeled = [
+            tuple(_flatten_pair(v) for v in s)
+            for group in prod.simplices.values()
+            for s in group
+        ]
+        acc = SimplicialComplex([_flatten_pair(v) for v in prod.vertices], relabeled)
+    return acc
+
 
 # ---------------------------------------------------------------------------
 # dense reference
@@ -268,6 +316,35 @@ def assert_same_homology(x: SimplicialComplex) -> None:
     assert homology_ranks(x, i_max).ranks == dense_homology_ranks(x, i_max).ranks
 
 
+def assert_matches_relabeled_power(factors: list[SimplicialComplex]) -> None:
+    """Same complex as the reference, and a budget one short of its simplex
+    count is refused with that count."""
+    expected = relabeled_power(factors)
+    assert segre_product(*factors).to_json() == expected.to_json()
+    count = expected.simplex_count()
+    with pytest.raises(ValidationError, match=f"^simplex budget {count - 1} exceeded at {count} simplices$"):
+        segre_product(*factors, budget=count - 1)
+
+
+@given(small_complexes(), st.lists(small_complexes(), max_size=2))
+@settings(max_examples=40, deadline=None)
+def test_k_ary_product_matches_pairwise_reference(x, others):
+    """k = 1, 2 and 3 factors, and the powers X^(*n) for n = 1, 2, 3."""
+    assert_matches_relabeled_power([x, *others])
+    for n in (1, 2, 3):
+        assert_matches_relabeled_power([x] * n)
+
+
+@given(small_complexes(), small_complexes(), small_complexes())
+@settings(max_examples=40, deadline=None)
+def test_product_with_tuple_vertices_matches_pairwise_reference(x, y, z):
+    """A first factor with tuple vertices keeps them unflattened."""
+    square = segre_product(x, y)
+    assert square.to_json() == pairwise_segre_product(x, y).to_json()
+    expected = pairwise_segre_product(pairwise_segre_product(x, y), z)
+    assert segre_product(square, z).to_json() == expected.to_json()
+
+
 @given(small_complexes())
 @settings(max_examples=40, deadline=None)
 def test_homology_ranks_match_dense_reference(x):
@@ -300,7 +377,7 @@ def test_equivariant_hilbert_data_matches_dense_reference(m, seeds, i):
         for f in seeds
         for g in range(m)
     }
-    base = iterated_segre(SimplicialComplex(range(1, m + 1), facets), 1)
+    base = segre_product(SimplicialComplex(range(1, m + 1), facets))
     maps = [{(v,): (rotate(v, g),) for v in range(1, m + 1)} for g in range(m)]
     action = GroupAction(abelian_table(FiniteGroup.cyclic(m)), base, maps)
     sparse = equivariant_hilbert_data(action, i, 2)
@@ -314,7 +391,7 @@ def test_equivariant_hilbert_data_matches_dense_reference(m, seeds, i):
 def test_traces_match_dense_reference_on_every_rotation():
     """Trace by trace, not only through the multiplicities."""
     circle = SimplicialComplex([1, 2, 3], [[1, 2], [2, 3], [1, 3]])
-    power = iterated_segre(circle, 2)
+    power = segre_product(circle, circle)
     sparse, dense = homology_ranks(power, 1), dense_homology_ranks(power, 1)
     for i in (0, 1):
         for g, h in itertools.product(range(3), repeat=2):
