@@ -11,6 +11,7 @@ from __future__ import annotations
 import argparse
 import json
 import sys
+from math import prod
 
 from . import grouptheory, segre, wordposet, wreath
 from .cyclotomic import cyclotomic_to_json
@@ -66,14 +67,29 @@ def _at_least(req, field: str, least: int, default=None) -> int:
     return value
 
 
+def _degree(req, size: int) -> tuple[int, ...]:
+    """The series bound: `degree` (default 8) for every coordinate, or a list
+    of `size` entries, each an int of at least 0.  The box of exponents it
+    spans, prod(b_i + 1), must fit the budget."""
+    degree = req.get("degree", 8)
+    entries = degree if isinstance(degree, list) else [degree] * size
+    if len(entries) != size:
+        raise ValidationError(f"degree must have {size} entries, got {len(entries)}")
+    bound = tuple(_at_least({"degree": b}, "degree", 0) for b in entries)
+    box, budget = prod(b + 1 for b in bound), _budget(req)
+    if box > budget:
+        raise ValidationError(f"degree: a series box of {box} exponents exceeds the budget {budget}")
+    return bound
+
+
 def _group_from_json(data) -> grouptheory.FiniteGroup:
     if not isinstance(data, dict):
         raise ValidationError(f"group must be a JSON object, got {type(data).__name__}")
     construct = data.get("construct")
     if construct == "cyclic":
-        return grouptheory.FiniteGroup.cyclic(int(data["n"]))
+        return grouptheory.FiniteGroup.cyclic(_at_least(data, "n", 1))
     if construct == "symmetric":
-        return grouptheory.FiniteGroup.symmetric(int(data["n"]))
+        return grouptheory.FiniteGroup.symmetric(_at_least(data, "n", 0))
     if construct == "product":
         factors = [_group_from_json(f) for f in data["factors"]]
         if not factors:
@@ -130,9 +146,7 @@ def _cmd_lang_intersect(req):
 def _cmd_genfun_series(req):
     dfa = dfa_from_json(req["dfa"])
     norm = _norm_from_json(req.get("norm"), dfa.alphabet)
-    bound = req.get("degree", 8)
-    series = series_from_dfa(dfa, norm, tuple(bound) if isinstance(bound, list) else int(bound))
-    return series.to_json()
+    return series_from_dfa(dfa, norm, _degree(req, norm.size)).to_json()
 
 
 def _cmd_genfun_closed(req):
@@ -161,9 +175,7 @@ def _cmd_genfun_filter(req):
 
 def _cmd_genfun_expand(req):
     F = FactoredRational.from_json(req["rational"])
-    bound = req.get("degree", 8)
-    series = F.expand(tuple(bound) if isinstance(bound, list) else int(bound))
-    return series.to_json()
+    return F.expand(_degree(req, F.nvars)).to_json()
 
 
 def _cmd_poset_leq(req):
@@ -227,7 +239,7 @@ def _wreath_table(req) -> grouptheory.CharacterTable:
 def _cmd_wreath_classes(req):
     table = _wreath_table(req)
     out = []
-    for label, size in wreath.wreath_classes(table, int(req["n"])):
+    for label, size in wreath.wreath_classes(table, _at_least(req, "n", 0)):
         out.append({"label": [list(p) for p in label], "size": size})
     return out
 
@@ -255,15 +267,16 @@ def _cmd_wreath_stability(req):
 
 def _cmd_wreath_hilbert(req):
     table = _wreath_table(req)
-    F = wreath.diag_induced_series(table, int(req["index"]))
+    F = wreath.diag_induced_series(table, _at_least(req, "index", 0))
     out = {"closed": F.to_json()}
     if "degree" in req:
-        out["series"] = F.expand((int(req["degree"]),) * len(table.rows)).to_json()
+        out["series"] = F.expand(_at_least(req, "degree", 0)).to_json()
     return out
 
 
 def _budget(req) -> int:
-    """The simplex budget of a Segre construction (also the --budget flag)."""
+    """The budget of an exponential construction (also the --budget flag):
+    the simplices of a Segre product, or the exponents of a series box."""
     return _at_least(req, "budget", 0, segre.DEFAULT_SIMPLEX_BUDGET)
 
 
@@ -333,7 +346,7 @@ def execute_request(request: dict) -> dict:
         result = handler(request)
     except QuasilangError as exc:
         return {"status": "error", "diagnostics": [f"{type(exc).__name__}: {exc}"]}
-    except (KeyError, TypeError, ValueError, ZeroDivisionError) as exc:
+    except (KeyError, TypeError, ValueError, ZeroDivisionError, RecursionError) as exc:
         return {"status": "error", "diagnostics": [f"bad request: {type(exc).__name__}: {exc}"]}
     return {"status": "ok", "result": result}
 
@@ -349,7 +362,7 @@ def main(argv=None) -> int:
     parser.add_argument("--out", dest="outfile", help="output file (default stdout)")
     parser.add_argument("--degree", type=int, help="cap series degree")
     parser.add_argument("--nmax", type=int, help="cap iterated powers")
-    parser.add_argument("--budget", type=int, help="cap simplex counts")
+    parser.add_argument("--budget", type=int, help="cap simplex counts and series box sizes")
     args = parser.parse_args(argv)
     if args.infile:
         with open(args.infile, "r", encoding="utf-8") as fh:

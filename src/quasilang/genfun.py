@@ -12,7 +12,7 @@ from __future__ import annotations
 import itertools
 from collections import Counter
 from fractions import Fraction
-from math import lcm
+from math import lcm, prod
 
 from .cyclotomic import (
     CyclotomicNumber,
@@ -386,40 +386,55 @@ class SeriesTruncation:
 
 
 def series_from_dfa(dfa: Dfa, norm: Norm, bound) -> SeriesTruncation:
-    """Count accepted words by norm via dynamic programming over (state, norm)."""
+    """Count the accepted words of norm <= bound, one word length at a time.
+
+    An exponent e is kept as its index in the box, sum_i e_i * stride_i with
+    the last coordinate varying fastest.  Each live state (one that reaches
+    an accepting state) holds a sparse {index: count} dict of the words of
+    the current length that reach it.  The transitions from p to q of norm
+    index i are merged into one edge with a multiplicity, and a step along i
+    from an exponent with e_i = bound_i leaves the box and is dropped.  A
+    negative coordinate gives the empty series."""
     if isinstance(bound, int):
         bound = (bound,) * norm.size
     bound = tuple(bound)
-    sym_norm = [(dfa.symbol_index(s), norm.index(s)) for s in dfa.alphabet]
-    exponents = sorted(
-        itertools.product(*(range(b + 1) for b in bound)), key=lambda e: (sum(e), e)
-    )
-    n = dfa.n_states
-    table: dict[tuple[int, ...], list[int]] = {}
-    zero = (0,) * len(bound)
-    start_row = [0] * n
-    start_row[dfa.start] = 1
-    table[zero] = start_row
-    for e in exponents:
-        row = table.get(e)
-        if row is None:
-            continue
-        for si, ni in sym_norm:
-            ne = list(e)
-            ne[ni] += 1
-            if ne[ni] > bound[ni]:
-                continue
-            ne = tuple(ne)
-            target = table.setdefault(ne, [0] * n)
-            for q, cnt in enumerate(row):
-                if cnt:
-                    target[dfa.delta[q][si]] += cnt
-    coeffs = {}
-    for e, row in table.items():
-        total = sum(row[q] for q in dfa.accepting)
-        if total:
-            coeffs[e] = CyclotomicNumber.from_rational(total)
-    return SeriesTruncation(1, bound, coeffs)
+    strides = [prod(b + 1 for b in bound[i + 1 :]) for i in range(len(bound))]
+    preds: list[set[int]] = [set() for _ in dfa.delta]
+    for p, row in enumerate(dfa.delta):
+        for q in row:
+            preds[q].add(p)
+    live, stack = set(dfa.accepting), list(dfa.accepting)
+    while stack:
+        new = preds[stack.pop()] - live
+        live |= new
+        stack.extend(new)
+    # edges[p][i] = {q: number of symbols of norm index i taking p to q}, q live
+    indices = [norm.index(s) for s in dfa.alphabet]
+    edges: list[dict[int, Counter]] = [{} for _ in dfa.delta]
+    for p, row in enumerate(dfa.delta):
+        for i, q in zip(indices, row):
+            if q in live:
+                edges[p].setdefault(i, Counter())[q] += 1
+    totals: dict[int, int] = {}
+    layer = {dfa.start: {0: 1}} if dfa.start in live and min(bound, default=0) >= 0 else {}
+    while layer:
+        for q in dfa.accepting & layer.keys():
+            for e, c in layer[q].items():
+                totals[e] = totals.get(e, 0) + c
+        nxt: dict[int, dict[int, int]] = {}
+        for p, counts in layer.items():
+            for i, targets in edges[p].items():
+                # e_i < bound_i exactly when e mod (stride_i (bound_i + 1)) < stride_i bound_i
+                stride = strides[i]
+                period, limit = stride * (bound[i] + 1), stride * bound[i]
+                stepped = [(e + stride, c) for e, c in counts.items() if e % period < limit]
+                for q, mult in targets.items():
+                    target = nxt.setdefault(q, {})
+                    for f, c in stepped:
+                        target[f] = target.get(f, 0) + c * mult
+        layer = {q: counts for q, counts in nxt.items() if counts}
+    exponents = list(itertools.product(*(range(b + 1) for b in bound))) if totals else []
+    return SeriesTruncation(1, bound, {exponents[e]: c for e, c in totals.items()})
 
 
 # ---------------------------------------------------------------------------

@@ -222,10 +222,9 @@ class Dfa:
         self.start = start
         self.accepting = frozenset(accepting)
         self._sym_index = {s: i for i, s in enumerate(self.alphabet)}
-        n = len(self.delta)
-        for row in self.delta:
-            if len(row) != len(self.alphabet) or any(not (0 <= t < n) for t in row):
-                raise ValidationError("transition table is not total over the state set")
+        n, targets = len(self.delta), set(itertools.chain.from_iterable(self.delta))
+        if any(len(row) != len(self.alphabet) for row in self.delta) or not targets <= set(range(n)):
+            raise ValidationError("transition table is not total over the state set")
         if not (0 <= start < n) or any(a not in range(n) for a in self.accepting):
             raise ValidationError("start/accepting states out of range")
 
@@ -266,103 +265,32 @@ def _canonicalize(alphabet, delta, start, accepting) -> Dfa:
     """Renumber reachable states in BFS order (alphabet order for ties)."""
     order = {start: 0}
     queue = [start]
-    while queue:
-        q = queue.pop(0)
+    for q in queue:
         for t in delta[q]:
             if t not in order:
                 order[t] = len(order)
                 queue.append(t)
-    new_delta = [[0] * len(alphabet) for _ in range(len(order))]
-    for old, new in order.items():
-        for i, t in enumerate(delta[old]):
-            new_delta[new][i] = order[t]
+    new_delta = [[order[t] for t in delta[q]] for q in queue]
     new_acc = {order[q] for q in accepting if q in order}
     return Dfa(alphabet, new_delta, 0, new_acc)
 
 
 def _minimize(dfa: Dfa) -> Dfa:
     """Moore partition refinement followed by canonical renumbering."""
-    n = dfa.n_states
-    block = [1 if q in dfa.accepting else 0 for q in range(n)]
+    block = [1 if q in dfa.accepting else 0 for q in range(dfa.n_states)]
     while True:
-        signature = {}
-        new_block = [0] * n
-        for q in range(n):
-            sig = (block[q], tuple(block[t] for t in dfa.delta[q]))
-            if sig not in signature:
-                signature[sig] = len(signature)
-            new_block[q] = signature[sig]
+        signature: dict = {}
+        new_block = [
+            signature.setdefault((block[q], *map(block.__getitem__, row)), len(signature))
+            for q, row in enumerate(dfa.delta)
+        ]
         if new_block == block:
             break
         block = new_block
-    k = max(block) + 1
-    delta = [[0] * len(dfa.alphabet) for _ in range(k)]
-    for q in range(n):
-        for i, t in enumerate(dfa.delta[q]):
-            delta[block[q]][i] = block[t]
+    rows = dict(zip(block, dfa.delta))  # any state's row: a block's states step to the same blocks
+    delta = [[block[t] for t in rows[b]] for b in range(len(rows))]
     accepting = {block[q] for q in dfa.accepting}
     return _canonicalize(dfa.alphabet, delta, block[dfa.start], accepting)
-
-
-class _Nfa:
-    """Internal epsilon-NFA used by compile_ordered."""
-
-    def __init__(self):
-        self.n = 0
-        self.edges: dict[tuple[int, object], set[int]] = {}
-        self.eps: dict[int, set[int]] = {}
-
-    def state(self) -> int:
-        self.n += 1
-        return self.n - 1
-
-    def edge(self, a: int, symbol, b: int) -> None:
-        self.edges.setdefault((a, symbol), set()).add(b)
-
-    def epsilon(self, a: int, b: int) -> None:
-        self.eps.setdefault(a, set()).add(b)
-
-    def closure(self, states) -> frozenset:
-        seen = set(states)
-        stack = list(states)
-        while stack:
-            q = stack.pop()
-            for t in self.eps.get(q, ()):
-                if t not in seen:
-                    seen.add(t)
-                    stack.append(t)
-        return frozenset(seen)
-
-
-def _expr_to_nfa(expr, nfa: _Nfa) -> tuple[int, int]:
-    """Thompson-style fragment (start, accept)."""
-    start, out = nfa.state(), nfa.state()
-    if isinstance(expr, Empty):
-        pass
-    elif isinstance(expr, Epsilon):
-        nfa.epsilon(start, out)
-    elif isinstance(expr, Sym):
-        nfa.edge(start, expr.symbol, out)
-    elif isinstance(expr, Star):
-        nfa.epsilon(start, out)
-        for s in expr.symbols:
-            nfa.edge(start, s, start)
-    elif isinstance(expr, Union):
-        # an empty union denotes the empty language (no edges at all)
-        for p in expr.parts:
-            s, o = _expr_to_nfa(p, nfa)
-            nfa.epsilon(start, s)
-            nfa.epsilon(o, out)
-    elif isinstance(expr, Concat):
-        cur = start
-        for p in expr.parts:
-            s, o = _expr_to_nfa(p, nfa)
-            nfa.epsilon(cur, s)
-            cur = o
-        nfa.epsilon(cur, out)
-    else:
-        raise ValidationError(f"not a language expression: {expr!r}")
-    return start, out
 
 
 def compile_ordered(expr, alphabet) -> Dfa:
@@ -370,13 +298,15 @@ def compile_ordered(expr, alphabet) -> Dfa:
 
     A union is compiled branch by branch and the branch automata are folded
     pairwise in a balanced tree, each step a minimized product accepting when
-    either side accepts; any other expression is determinized by one subset
-    construction.  A minimal DFA is unique up to renumbering and
-    `_canonicalize` fixes the numbering, so the result depends only on the
-    language, not on how the union is split."""
+    either side accepts.  Any other expression, a union nested in a
+    concatenation included, is determinized by one subset construction over
+    its Glushkov automaton (`_determinize`).  The result is minimized once
+    more; a minimal DFA is unique up to renumbering and `_canonicalize` fixes
+    the numbering, so it depends only on the language, not on how the union
+    is split."""
     symbols = tuple(alphabet.symbols if isinstance(alphabet, Alphabet) else alphabet)
     validate_expr(expr, symbols)
-    return _compile(expr, symbols)
+    return _minimize(_compile(expr, symbols))
 
 
 def _compile(expr, symbols) -> Dfa:
@@ -391,31 +321,69 @@ def _compile(expr, symbols) -> Dfa:
     return dfas[0]
 
 
+def _positions(expr, labels: list, follow: list) -> tuple[bool, int, int]:
+    """Glushkov positions of `expr`: (nullable, first, last) as bitmasks.
+
+    Each `Sym` and each `Star` gets one position; `labels[p]` is the set of
+    symbols that enter position p, and `follow[p]` the bitmask of positions
+    that may come next.  A `Star` position follows itself."""
+    if isinstance(expr, (Sym, Star)):
+        bit, star = 1 << len(labels), isinstance(expr, Star)
+        labels.append(expr.symbols if star else (expr.symbol,))
+        follow.append(bit if star else 0)
+        return star, bit, bit
+    if isinstance(expr, (Empty, Epsilon)):
+        return isinstance(expr, Epsilon), 0, 0
+    if isinstance(expr, Union):
+        nullable, first, last = False, 0, 0
+        for part in expr.parts:
+            n, f, l = _positions(part, labels, follow)
+            nullable, first, last = nullable or n, first | f, last | l
+        return nullable, first, last
+    if isinstance(expr, Concat):
+        nullable, first, last = True, 0, 0
+        for part in expr.parts:
+            n, f, l = _positions(part, labels, follow)
+            for p in range(last.bit_length()):
+                if last >> p & 1:
+                    follow[p] |= f
+            first = first | f if nullable else first
+            last = last | l if n else l
+            nullable = nullable and n
+        return nullable, first, last
+    raise ValidationError(f"not a language expression: {expr!r}")
+
+
 def _determinize(expr, symbols) -> Dfa:
-    """Subset construction over the Thompson NFA, then minimization."""
-    nfa = _Nfa()
-    start, accept = _expr_to_nfa(expr, nfa)
-    # subset construction with an implicit total sink (the empty subset)
-    init = nfa.closure({start})
-    index = {init: 0}
+    """The subset construction over the Glushkov automaton of `expr`, not
+    minimized.
+
+    Position 0 is the start; a subset is a bitmask of positions.  Its
+    successor on a symbol is the OR of its positions' follow sets, taken
+    once per subset, ANDed with the mask of positions that symbol enters.
+    The empty subset is the total sink."""
+    labels, follow = [()], [0]
+    nullable, follow[0], last = _positions(expr, labels, follow)
+    last |= 1 if nullable else 0
+    masks = [sum(1 << p for p, label in enumerate(labels) if s in label) for s in symbols]
+    index = {1: 0}
     delta: list[list[int]] = []
-    queue = [init]
-    while queue:
-        cur = queue.pop(0)
+    queue = [1]
+    for cur in queue:
+        reach = 0
+        for p in range(cur.bit_length()):
+            if cur >> p & 1:
+                reach |= follow[p]
         row = []
-        for s in symbols:
-            nxt = set()
-            for q in cur:
-                nxt |= nfa.edges.get((q, s), set())
-            nxt = nfa.closure(nxt)
+        for m in masks:
+            nxt = reach & m
             if nxt not in index:
                 index[nxt] = len(index)
                 queue.append(nxt)
             row.append(index[nxt])
         delta.append(row)
-    accepting = {i for sub, i in index.items() if accept in sub}
-    dfa = Dfa(symbols, delta, 0, accepting)
-    return _minimize(dfa)
+    accepting = {i for sub, i in index.items() if sub & last}
+    return Dfa(symbols, delta, 0, accepting)
 
 
 @dataclass(frozen=True)
@@ -482,11 +450,9 @@ def _product(a: Dfa, b: Dfa, accept) -> Dfa:
     index = {(a.start, b.start): 0}
     delta: list[list[int]] = []
     queue = [(a.start, b.start)]
-    while queue:
-        p, q = queue.pop(0)
+    for p, q in queue:
         row = []
-        for i in range(len(a.alphabet)):
-            t = (a.delta[p][i], b.delta[q][i])
+        for t in zip(a.delta[p], b.delta[q]):
             if t not in index:
                 index[t] = len(index)
                 queue.append(t)

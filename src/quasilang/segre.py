@@ -71,8 +71,11 @@ class SimplicialComplex:
 
     @staticmethod
     def vertex_from_json(v):
-        """A vertex read from JSON: a list is a tuple vertex."""
-        return tuple(v) if isinstance(v, list) else v
+        """A vertex read from JSON: a list, at any depth, is a tuple vertex.
+        A list without nested lists converts with no call per coordinate."""
+        if not isinstance(v, list):
+            return v
+        return tuple(map(SimplicialComplex.vertex_from_json, v)) if list in map(type, v) else tuple(v)
 
     @classmethod
     def from_json(cls, data: dict) -> "SimplicialComplex":

@@ -243,6 +243,8 @@ def diag_induced_series(table: CharacterTable, i: int) -> FactoredRational:
     reciprocity); for real-valued tables it is the textbook formula.
     """
     nvars = len(table.rows)
+    if not 0 <= i < nvars:
+        raise ValidationError(f"index must lie in range({nvars}), got {i}")
     order = table.group_order
     terms = []
     for c in range(table.n_classes):

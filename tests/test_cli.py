@@ -264,6 +264,111 @@ def test_poset_series_degree_is_validated():
     assert run(dict(base, weights=[[1], [0], [1]], degree=2))["result"]["closed"] is not None
 
 
+def test_series_degree_is_validated():
+    """`degree` of genfun.series and genfun.expand is an int or a list with
+    one entry per norm coordinate, each an int of at least 0."""
+    star = {"kind": "star", "symbols": ["a", "b"]}
+    dfa = run({"cmd": "lang.compile", "expr": star, "alphabet": ["a", "b"]})["result"]
+    rational = run({"cmd": "genfun.closed", "expr": star, "alphabet": ["a", "b"]})["result"]
+    for base in ({"cmd": "genfun.series", "dfa": dfa}, {"cmd": "genfun.expand", "rational": rational}):
+        for degree, expected in [
+            ([2], "ValidationError: degree must have 2 entries, got 1"),
+            ([2, 2, 2], "ValidationError: degree must have 2 entries, got 3"),
+            (-1, "ValidationError: degree must be at least 0, got -1"),
+            ([2, -1], "ValidationError: degree must be at least 0, got -1"),
+            (2.7, "ValidationError: degree must be an integer, got 2.7"),
+            (True, "ValidationError: degree must be an integer, got True"),
+            ("3", "ValidationError: degree must be an integer, got '3'"),
+            ([2, 2.0], "ValidationError: degree must be an integer, got 2.0"),
+        ]:
+            assert run(dict(base, degree=degree)) == {"status": "error", "diagnostics": [expected]}, (base, degree)
+        assert run(dict(base, degree=[2, 0]))["result"]["bound"] == [2, 0]
+        assert run(dict(base, degree=0))["result"]["coefficients"] == [[[0, 0], [1, ["1"]]]]
+        assert run(base)["result"]["bound"] == [8, 8]
+
+
+def test_series_box_is_budgeted(tmp_path, capsys):
+    star = {"kind": "star", "symbols": ["a", "b"]}
+    dfa = run({"cmd": "lang.compile", "expr": star, "alphabet": ["a", "b"]})["result"]
+    rational = run({"cmd": "genfun.closed", "expr": star, "alphabet": ["a", "b"]})["result"]
+    for base in ({"cmd": "genfun.series", "dfa": dfa}, {"cmd": "genfun.expand", "rational": rational}):
+        start = time.monotonic()
+        resp = run(dict(base, degree=10**9))
+        elapsed = time.monotonic() - start
+        assert resp["diagnostics"] == [
+            "ValidationError: degree: a series box of 1000000002000000001 exponents exceeds the budget 200000"
+        ]
+        assert elapsed < 1, f"took {elapsed:.1f} s"
+        # a 3 x 3 box has 9 exponents
+        assert run(dict(base, degree=2, budget=9))["status"] == "ok"
+        assert run(dict(base, degree=2, budget=8))["diagnostics"] == [
+            "ValidationError: degree: a series box of 9 exponents exceeds the budget 8"
+        ]
+    path = tmp_path / "dfa.json"
+    path.write_text(json.dumps({"dfa": dfa}))
+    assert main(["genfun.series", "--in", str(path), "--degree", "2", "--budget", "8"]) == 1
+    assert json.loads(capsys.readouterr().out)["diagnostics"] == [
+        "ValidationError: degree: a series box of 9 exponents exceeds the budget 8"
+    ]
+
+
+def test_segre_product_with_nested_tuple_vertices_reads_back():
+    """A cube built from a square that went through JSON has vertices
+    ((a, b), c); read back, they must stay hashable tuples."""
+    edge = {"vertices": [1, 2], "facets": [[1, 2]]}
+    square = json.loads(dumps(run({"cmd": "segre.product", "x": edge, "y": edge})))["result"]
+    cube = json.loads(dumps(run({"cmd": "segre.product", "x": square, "y": edge})))["result"]
+    assert cube["vertices"][0] == [[1, 1], 1]
+    assert run({"cmd": "segre.homology", "complex": cube}) == {"status": "ok", "result": {"ranks": {"0": 4, "1": 0}}}
+    assert run({"cmd": "segre.product", "x": cube, "y": edge})["status"] == "ok"
+
+
+def test_deeply_nested_payloads_are_answered():
+    """Decoding a vertex or an expression recurses once per level; a payload
+    nested past the recursion limit is an error response, not an exception."""
+    vertex, expr = 1, {"kind": "epsilon"}
+    for _ in range(3000):
+        vertex, expr = [vertex], {"kind": "concat", "parts": [expr]}
+    for req in (
+        {"cmd": "segre.homology", "complex": {"vertices": [vertex], "facets": [[vertex]]}},
+        {"cmd": "lang.compile", "expr": expr, "alphabet": ["a"]},
+    ):
+        resp = run(req)
+        assert resp["status"] == "error"
+        (message,) = resp["diagnostics"]
+        assert message.startswith("bad request: RecursionError"), message
+
+
+def test_group_and_wreath_integers_are_not_coerced():
+    z2 = {"construct": "cyclic", "n": 2}
+    for req, expected in [
+        ({"cmd": "wreath.classes", "group": z2, "n": 2.7}, "ValidationError: n must be an integer, got 2.7"),
+        ({"cmd": "wreath.classes", "group": z2, "n": -1}, "ValidationError: n must be at least 0, got -1"),
+        (
+            {"cmd": "group.table", "group": {"construct": "cyclic", "n": "3"}},
+            "ValidationError: n must be an integer, got '3'",
+        ),
+        (
+            {"cmd": "group.table", "group": {"construct": "cyclic", "n": 0}},
+            "ValidationError: n must be at least 1, got 0",
+        ),
+        (
+            {"cmd": "group.table", "group": {"construct": "symmetric", "n": 3.0}},
+            "ValidationError: n must be an integer, got 3.0",
+        ),
+        ({"cmd": "wreath.hilbert", "group": z2, "index": "0"}, "ValidationError: index must be an integer, got '0'"),
+        ({"cmd": "wreath.hilbert", "group": z2, "index": 2}, "ValidationError: index must lie in range(2), got 2"),
+        (
+            {"cmd": "wreath.hilbert", "group": z2, "index": 0, "degree": 2.7},
+            "ValidationError: degree must be an integer, got 2.7",
+        ),
+    ]:
+        assert run(req) == {"status": "error", "diagnostics": [expected]}, req
+    assert len(run({"cmd": "wreath.classes", "group": z2, "n": 0})["result"]) == 1
+    assert run({"cmd": "group.table", "group": {"construct": "cyclic", "n": 1}})["result"]["order"] == 1
+    assert run({"cmd": "wreath.hilbert", "group": z2, "index": 1, "degree": 0})["status"] == "ok"
+
+
 def test_malformed_group_payloads_are_rejected():
     z2 = {"construct": "cyclic", "n": 2}
     trivial = {"construct": "cyclic", "n": 1}

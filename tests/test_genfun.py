@@ -3,6 +3,8 @@ import random
 from fractions import Fraction
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from quasilang.cyclotomic import CyclotomicNumber
 from quasilang.errors import AmbiguousExpressionError, ValidationError
@@ -21,6 +23,7 @@ from quasilang.langkit import (
     AbelianGroup,
     Concat,
     CongruenceSpec,
+    Dfa,
     Empty,
     Epsilon,
     Norm,
@@ -68,6 +71,65 @@ def test_series_from_dfa_empty_language():
     d = compile_ordered(Empty(), AB)
     series = series_from_dfa(d, Norm.universal(AB), (4, 4))
     assert series.coefficients == {}
+
+
+def series_by_exponent_table(dfa, norm, bound) -> SeriesTruncation:
+    """Reference counter: the dense dynamic program over every exponent of the
+    box in graded order, each holding a count per state, that
+    series_from_dfa used before it counted by word length."""
+    sym_norm = [(dfa.symbol_index(s), norm.index(s)) for s in dfa.alphabet]
+    exponents = sorted(itertools.product(*(range(b + 1) for b in bound)), key=lambda e: (sum(e), e))
+    n = dfa.n_states
+    start_row = [0] * n
+    start_row[dfa.start] = 1
+    table = {(0,) * len(bound): start_row}
+    for e in exponents:
+        row = table.get(e)
+        if row is None:
+            continue
+        for si, ni in sym_norm:
+            ne = list(e)
+            ne[ni] += 1
+            if ne[ni] > bound[ni]:
+                continue
+            target = table.setdefault(tuple(ne), [0] * n)
+            for q, cnt in enumerate(row):
+                if cnt:
+                    target[dfa.delta[q][si]] += cnt
+    coeffs = {}
+    for e, row in table.items():
+        total = sum(row[q] for q in dfa.accepting)
+        if total:
+            coeffs[e] = CyclotomicNumber.from_rational(total)
+    return SeriesTruncation(1, bound, coeffs)
+
+
+@st.composite
+def counting_cases(draw):
+    """A random total DFA (cycles and dead states allowed), a norm that may
+    send several symbols to one index and leave indices unused, and an
+    uneven bound whose coordinates may be 0."""
+    alphabet = tuple("abcd"[: draw(st.integers(0, 4))])
+    n = draw(st.integers(1, 6))
+    delta = [[draw(st.integers(0, n - 1)) for _ in alphabet] for _ in range(n)]
+    accepting = draw(st.sets(st.integers(0, n - 1)))
+    dfa = Dfa(alphabet, delta, draw(st.integers(0, n - 1)), accepting)
+    size = draw(st.integers(1, 4))
+    norm = Norm({s: draw(st.integers(0, size - 1)) for s in alphabet}, size)
+    bound = tuple(draw(st.lists(st.integers(0, 4), min_size=size, max_size=size)))
+    return dfa, norm, bound
+
+
+@settings(max_examples=300, deadline=None)
+@given(counting_cases())
+def test_series_from_dfa_matches_the_exponent_table(case):
+    dfa, norm, bound = case
+    assert series_from_dfa(dfa, norm, bound).to_json() == series_by_exponent_table(dfa, norm, bound).to_json()
+
+
+def test_series_from_dfa_of_a_negative_bound_is_empty():
+    d = compile_ordered(Star(AB), AB)
+    assert series_from_dfa(d, Norm.universal(AB), (2, -1)).coefficients == {}
 
 
 def test_ordered_genfun_star():

@@ -1,6 +1,8 @@
 import itertools
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from quasilang.errors import ValidationError
 from quasilang.langkit import (
@@ -23,9 +25,8 @@ from quasilang.langkit import (
     enumerate_by_norm,
     intersect_dfa,
     membership,
-    _expr_to_nfa,
+    _determinize,
     _minimize,
-    _Nfa,
 )
 from quasilang.wordposet import WeightedWord, principal_ideal_language
 
@@ -106,6 +107,68 @@ def test_compile_ordered_agrees_with_naive_matching():
             assert dfa_to_json(reverse) == dfa_to_json(d), expr
 
 
+class _Nfa:
+    """Reference epsilon-NFA: the Thompson construction that compile_ordered
+    used before the Glushkov one."""
+
+    def __init__(self):
+        self.n = 0
+        self.edges: dict[tuple[int, object], set[int]] = {}
+        self.eps: dict[int, set[int]] = {}
+
+    def state(self) -> int:
+        self.n += 1
+        return self.n - 1
+
+    def edge(self, a: int, symbol, b: int) -> None:
+        self.edges.setdefault((a, symbol), set()).add(b)
+
+    def epsilon(self, a: int, b: int) -> None:
+        self.eps.setdefault(a, set()).add(b)
+
+    def closure(self, states) -> frozenset:
+        seen = set(states)
+        stack = list(states)
+        while stack:
+            q = stack.pop()
+            for t in self.eps.get(q, ()):
+                if t not in seen:
+                    seen.add(t)
+                    stack.append(t)
+        return frozenset(seen)
+
+
+def _expr_to_nfa(expr, nfa: _Nfa) -> tuple[int, int]:
+    """Thompson-style fragment (start, accept)."""
+    start, out = nfa.state(), nfa.state()
+    if isinstance(expr, Empty):
+        pass
+    elif isinstance(expr, Epsilon):
+        nfa.epsilon(start, out)
+    elif isinstance(expr, Sym):
+        nfa.edge(start, expr.symbol, out)
+    elif isinstance(expr, Star):
+        nfa.epsilon(start, out)
+        for s in expr.symbols:
+            nfa.edge(start, s, start)
+    elif isinstance(expr, Union):
+        # an empty union denotes the empty language (no edges at all)
+        for p in expr.parts:
+            s, o = _expr_to_nfa(p, nfa)
+            nfa.epsilon(start, s)
+            nfa.epsilon(o, out)
+    elif isinstance(expr, Concat):
+        cur = start
+        for p in expr.parts:
+            s, o = _expr_to_nfa(p, nfa)
+            nfa.epsilon(cur, s)
+            cur = o
+        nfa.epsilon(cur, out)
+    else:
+        raise TypeError(expr)
+    return start, out
+
+
 def subset_construction(expr, symbols) -> Dfa:
     """Reference compiler: one subset construction over the Thompson NFA of
     the whole expression, unions included, then minimization."""
@@ -143,6 +206,33 @@ def test_union_fold_matches_whole_union_subset_construction():
                 assert dfa_to_json(fast) == dfa_to_json(ref), x
                 checked += 1
     assert checked == 37
+
+
+ABC = ("a", "b", "c")
+leaves = st.one_of(
+    st.just(Empty()),
+    st.just(Epsilon()),
+    st.sampled_from(ABC).map(Sym),
+    st.sets(st.sampled_from(ABC)).map(Star),
+)
+expressions = st.recursive(
+    leaves,
+    lambda sub: st.one_of(
+        st.lists(sub, max_size=4).map(Union),
+        st.lists(sub, max_size=4).map(Concat),
+    ),
+    max_leaves=12,
+)
+
+
+@settings(max_examples=300, deadline=None)
+@given(expressions)
+def test_glushkov_determinization_matches_the_thompson_reference(expr):
+    """Empty, Epsilon, Union(), Concat(), Star(()) and unions nested in
+    concatenations all come up; the minimized automata serialize the same."""
+    ref = dfa_to_json(subset_construction(expr, ABC))
+    assert dfa_to_json(_minimize(_determinize(expr, ABC))) == ref
+    assert dfa_to_json(compile_ordered(expr, ABC)) == ref
 
 
 def test_compile_ordered_rejects_foreign_symbols():
