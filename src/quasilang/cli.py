@@ -15,7 +15,7 @@ from math import prod
 
 from . import grouptheory, segre, wordposet, wreath
 from .cyclotomic import cyclotomic_to_json
-from .errors import QuasilangError, ValidationError
+from .errors import QuasilangError, ValidationError, require_int
 from .genfun import (
     FactoredRational,
     congruence_filter,
@@ -50,8 +50,8 @@ def _norm_from_json(data, alphabet) -> Norm:
         return Norm.universal(alphabet)
     if data == {"length": True}:
         return Norm.length(alphabet)
-    mapping = {symbol_from_json(s): int(i) for s, i in data["pairs"]}
-    return Norm(mapping, int(data["size"]))
+    mapping = {symbol_from_json(s): require_int(i, "pairs") for s, i in data["pairs"]}
+    return Norm(mapping, _at_least(data, "size", 0))
 
 
 def _at_least(req, field: str, least: int, default=None) -> int:
@@ -59,12 +59,7 @@ def _at_least(req, field: str, least: int, default=None) -> int:
     the field is absent and a default is given."""
     if default is not None and field not in req:
         return default
-    value = req[field]
-    if not isinstance(value, int) or isinstance(value, bool):
-        raise ValidationError(f"{field} must be an integer, got {value!r}")
-    if value < least:
-        raise ValidationError(f"{field} must be at least {least}, got {value}")
-    return value
+    return require_int(req[field], field, least)
 
 
 def _degree(req, size: int) -> tuple[int, ...]:
@@ -75,7 +70,7 @@ def _degree(req, size: int) -> tuple[int, ...]:
     entries = degree if isinstance(degree, list) else [degree] * size
     if len(entries) != size:
         raise ValidationError(f"degree must have {size} entries, got {len(entries)}")
-    bound = tuple(_at_least({"degree": b}, "degree", 0) for b in entries)
+    bound = tuple(require_int(b, "degree", 0) for b in entries)
     box, budget = prod(b + 1 for b in bound), _budget(req)
     if box > budget:
         raise ValidationError(f"degree: a series box of {box} exponents exceeds the budget {budget}")
@@ -134,7 +129,10 @@ def _cmd_lang_enum(req):
     dfa = dfa_from_json(req["dfa"])
     norm = _norm_from_json(req.get("norm"), dfa.alphabet)
     bound = req["bound"]
-    bound = tuple(bound) if isinstance(bound, list) else int(bound)
+    if isinstance(bound, list):
+        bound = tuple(require_int(b, "bound", 0) for b in bound)
+    else:
+        bound = require_int(bound, "bound", 0)
     words = enumerate_by_norm(dfa, norm, bound)
     return [[symbol_to_json(s) for s in w] for w in words]
 
@@ -161,15 +159,15 @@ def _cmd_genfun_closed(req):
 
 def _cmd_genfun_translate(req):
     F = FactoredRational.from_json(req["rational"])
-    out = cyclotomic_translate(F, [int(k) for k in req["exponents"]], req.get("root_order"))
+    out = cyclotomic_translate(F, [require_int(k, "exponents") for k in req["exponents"]], req.get("root_order"))
     return out.to_json()
 
 
 def _cmd_genfun_filter(req):
     F = FactoredRational.from_json(req["rational"])
-    group = AbelianGroup(tuple(int(n) for n in req["orders"]))
-    psi = [tuple(int(x) for x in v) for v in req["psi"]]
-    target = [tuple(int(x) for x in t) for t in req["target"]]
+    group = AbelianGroup(tuple(require_int(n, "orders", 1) for n in req["orders"]))
+    psi = [tuple(require_int(x, "psi") for x in v) for v in req["psi"]]
+    target = [tuple(require_int(x, "target") for x in t) for t in req["target"]]
     return congruence_filter(F, psi, group, target).to_json()
 
 
@@ -199,8 +197,8 @@ def _cmd_poset_ideal(req):
 
 
 def _cmd_poset_series(req):
-    group = AbelianGroup(tuple(int(n) for n in req["orders"]))
-    weights = [tuple(int(x) for x in w) for w in req["weights"]]
+    group = AbelianGroup(tuple(require_int(n, "orders", 1) for n in req["orders"]))
+    weights = [tuple(require_int(x, "weights") for x in w) for w in req["weights"]]
     bound = _at_least(req, "degree", 0, 5)
     series, closed = wordposet.fws_principal_series(weights, group, bound)
     return {"series": series.to_json(), "closed": closed.to_json()}
@@ -214,7 +212,7 @@ def _cmd_group_table(req):
 def _cmd_group_restrict(req):
     G = _group_from_json(req["group"])
     H = _group_from_json(req["subgroup"])
-    emb = tuple(int(x) for x in req["embedding"])
+    emb = tuple(require_int(x, "embedding") for x in req["embedding"])
     return grouptheory.restriction_matrix(G, H, emb)
 
 
@@ -226,7 +224,7 @@ def _cmd_group_good(req):
         fam = [(H, emb) for _, H, emb in grouptheory.young_subgroups(G.kind[1], G)]
     else:
         fam = [
-            (_group_from_json(s["group"]), tuple(int(x) for x in s["embedding"]))
+            (_group_from_json(s["group"]), tuple(require_int(x, "embedding") for x in s["embedding"]))
             for s in req["subgroups"]
         ]
     return grouptheory.is_good_family(G, fam, covering_only=bool(req.get("covering")))
@@ -234,6 +232,11 @@ def _cmd_group_good(req):
 
 def _wreath_table(req) -> grouptheory.CharacterTable:
     return grouptheory.character_table(_group_from_json(req["group"]))
+
+
+def _label(req, field: str) -> tuple:
+    """A wreath label: one partition, a list of positive parts, per irreducible."""
+    return tuple(tuple(require_int(x, field, 1) for x in p) for p in req[field])
 
 
 def _cmd_wreath_classes(req):
@@ -246,7 +249,7 @@ def _cmd_wreath_classes(req):
 
 def _cmd_wreath_char(req):
     table = _wreath_table(req)
-    lam = tuple(tuple(int(x) for x in p) for p in req["lambda"])
+    lam = _label(req, "lambda")
     chi = wreath.wreath_irreducible_character(table, lam)
     values = []
     for label, size in wreath.wreath_classes(table, wreath.label_size(lam)):
@@ -258,19 +261,21 @@ def _cmd_wreath_char(req):
 
 def _cmd_wreath_stability(req):
     table = _wreath_table(req)
-    lam, mu, nu = (
-        tuple(tuple(int(x) for x in p) for p in req[k]) for k in ("lambda", "mu", "nu")
-    )
-    lo, hi = req["n_range"]
-    return wreath.tensor_stability_table(table, lam, mu, nu, range(int(lo), int(hi) + 1))
+    lam, mu, nu = (_label(req, k) for k in ("lambda", "mu", "nu"))
+    lo, hi = (require_int(n, "n_range", 0) for n in req["n_range"])
+    return wreath.tensor_stability_table(table, lam, mu, nu, range(lo, hi + 1))
 
 
 def _cmd_wreath_hilbert(req):
     table = _wreath_table(req)
-    F = wreath.diag_induced_series(table, _at_least(req, "index", 0))
+    index = _at_least(req, "index", 0)
+    # F has one variable per irreducible; an oversized box is refused before F,
+    # which is itself slow to build for large groups, is built
+    bound = _degree(req, len(table.rows)) if "degree" in req else None
+    F = wreath.diag_induced_series(table, index)
     out = {"closed": F.to_json()}
-    if "degree" in req:
-        out["series"] = F.expand(_at_least(req, "degree", 0)).to_json()
+    if bound is not None:
+        out["series"] = F.expand(bound).to_json()
     return out
 
 

@@ -1,4 +1,5 @@
-"""Exception types shared across the package."""
+"""Exception types shared across the package, and the integer check that
+raises them on outside input."""
 
 
 class QuasilangError(Exception):
@@ -27,3 +28,13 @@ class AmbiguousExpressionError(QuasilangError):
 
 class UnsupportedGroupError(QuasilangError):
     """No built-in character table construction applies to this group."""
+
+
+def require_int(value, field: str, least: int | None = None) -> int:
+    """`value` when it is an int (not a bool) of at least `least`; otherwise a
+    ValidationError that names `field`."""
+    if not isinstance(value, int) or isinstance(value, bool):
+        raise ValidationError(f"{field} must be an integer, got {value!r}")
+    if least is not None and value < least:
+        raise ValidationError(f"{field} must be at least {least}, got {value}")
+    return value

@@ -54,13 +54,11 @@ def _pscale(p: dict, c) -> dict:
     return _pstrip({e: v * c for e, v in p.items()})
 
 
-def _pmul(p: dict, q: dict, bound: tuple[int, ...] | None = None) -> dict:
+def _pmul(p: dict, q: dict) -> dict:
     out: dict = {}
     for e1, c1 in p.items():
         for e2, c2 in q.items():
             e = tuple(a + b for a, b in zip(e1, e2))
-            if bound is not None and any(x > b for x, b in zip(e, bound)):
-                continue
             out[e] = out[e] + c1 * c2 if e in out else c1 * c2
     return _pstrip(out)
 

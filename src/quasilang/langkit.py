@@ -9,7 +9,7 @@ import itertools
 from dataclasses import dataclass, field
 from math import gcd, lcm, prod
 
-from .errors import ValidationError
+from .errors import ValidationError, require_int
 
 Symbol = object  # symbols are opaque hashables (strings, tuples, ...)
 
@@ -561,7 +561,7 @@ def dfa_from_json(data: dict) -> Dfa:
     return Dfa(
         tuple(symbol_from_json(s) for s in data["alphabet"]),
         data["delta"],
-        int(data["start"]),
+        require_int(data["start"], "start"),
         set(data["accepting"]),
     )
 
@@ -576,7 +576,7 @@ def congruence_to_json(spec: CongruenceSpec) -> dict:
 
 
 def congruence_from_json(data: dict) -> CongruenceSpec:
-    group = AbelianGroup(tuple(int(n) for n in data["orders"]))
+    group = AbelianGroup(tuple(require_int(n, "orders", 1) for n in data["orders"]))
     phi = {symbol_from_json(s): tuple(v) for s, v in data["phi"]}
     target = {tuple(t) for t in data["target"]}
     alphabet = tuple(symbol_from_json(s) for s in data["alphabet"])

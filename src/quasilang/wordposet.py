@@ -17,7 +17,7 @@ from functools import lru_cache
 from math import factorial
 
 from .cyclotomic import CyclotomicNumber
-from .errors import NoWitnessError, PreconditionError, ValidationError
+from .errors import NoWitnessError, PreconditionError, ValidationError, require_int
 from .genfun import FactoredRational, LinearForm, SeriesTruncation
 from .langkit import (
     AbelianGroup,
@@ -75,10 +75,10 @@ class WeightedWord:
 
     @classmethod
     def from_json(cls, data: dict) -> "WeightedWord":
-        group = AbelianGroup(tuple(int(n) for n in data["orders"]))
+        group = AbelianGroup(tuple(require_int(n, "orders", 1) for n in data["orders"]))
         return cls(
             tuple(data["letters"]),
-            tuple(tuple(int(x) for x in w) for w in data["weights"]),
+            tuple(tuple(require_int(x, "weights") for x in w) for w in data["weights"]),
             group,
         )
 
@@ -169,15 +169,32 @@ def _is_special(letters, i: int) -> bool:
 # witness search
 
 
+def _fiber_steps(x: WeightedWord, cfg: tuple, a, w):
+    """The ways to map the next position of y, with letter a and weight w,
+    onto x after a partial witness whose opened fibers have the running
+    weight sums `cfg`: (fiber, new cfg) pairs, each opened fiber of letter a
+    in ascending order, then the next fiber if its letter is a."""
+    letters, add = x.letters, x.group.add
+    for i, s in enumerate(cfg):
+        if letters[i] == a:
+            yield i, cfg[:i] + (add(s, w),) + cfg[i + 1 :]
+    opened = len(cfg)
+    if opened < len(letters) and letters[opened] == a:
+        yield opened, cfg + (w,)
+
+
 def leq(x: WeightedWord, y: WeightedWord):
     """Search for a witness of x <= y; None if there is none.
 
-    Positions of y are assigned left to right to an already-opened fiber or
-    to the next fiber, which yields the lexicographically least witness map.
+    Positions of y are mapped left to right by `_fiber_steps`, depth first,
+    so the first complete map is the lexicographically least witness.  What
+    a partial witness can still become depends only on the next position j
+    and the fiber sums cfg, so each (j, cfg) that failed is kept in `dead`
+    and never searched again: at most |y| times the number of fiber-sum
+    tuples states, on an explicit stack.
     """
     if x.group != y.group:
         raise ValidationError("operands live over different weight groups")
-    group = x.group
     n, m = len(x), len(y)
     if n == 0 or m == 0:
         return OrderedSurjection((), 0) if n == m else None
@@ -187,54 +204,22 @@ def leq(x: WeightedWord, y: WeightedWord):
         y, set(x.letters) | set(y.letters)
     ):
         return None
-    # suffix counts of y per letter, for pruning fiber openings
-    letters_y = y.letters
-    suffix: list[dict] = [dict() for _ in range(m + 1)]
-    for j in range(m - 1, -1, -1):
-        cnt = dict(suffix[j + 1])
-        cnt[letters_y[j]] = cnt.get(letters_y[j], 0) + 1
-        suffix[j] = cnt
-    # needed letter counts among not-yet-opened fibers of x
-    needed: list[dict] = [dict() for _ in range(n + 1)]
-    for i in range(n - 1, -1, -1):
-        cnt = dict(needed[i + 1])
-        cnt[x.letters[i]] = cnt.get(x.letters[i], 0) + 1
-        needed[i] = cnt
-
-    assignment = [0] * m
-    sums = [group.identity()] * n
-
-    def feasible(j: int, opened: int) -> bool:
-        have = suffix[j]
-        for a, need in needed[opened].items():
-            if have.get(a, 0) < need:
-                return False
-        return True
-
-    def rec(j: int, opened: int):
-        if j == m:
-            return opened == n and tuple(sums) == x.weights
-        if not feasible(j, opened):
-            return False
-        a, w = y.letters[j], y.weights[j]
-        for i in range(opened):
-            if x.letters[i] == a:
-                assignment[j] = i
-                old = sums[i]
-                sums[i] = group.add(old, w)
-                if rec(j + 1, opened):
-                    return True
-                sums[i] = old
-        if opened < n and x.letters[opened] == a:
-            assignment[j] = opened
-            sums[opened] = w
-            if rec(j + 1, opened + 1):
-                return True
-            sums[opened] = group.identity()
-        return False
-
-    if rec(0, 0):
-        return OrderedSurjection(tuple(assignment), n)
+    dead = set()
+    # entry k: the fiber of position k - 1, the sums after it, the steps of position k
+    stack = [(None, (), _fiber_steps(x, (), y.letters[0], y.weights[0]))]
+    while stack:
+        j = len(stack)
+        _, cfg, steps = stack[-1]
+        for fiber, nxt in steps:
+            if j == m:
+                if nxt == x.weights:
+                    return OrderedSurjection(tuple(e[0] for e in stack[1:]) + (fiber,), n)
+            elif (j, nxt) not in dead:
+                stack.append((fiber, nxt, _fiber_steps(x, nxt, y.letters[j], y.weights[j])))
+                break
+        else:
+            stack.pop()
+            dead.add((j - 1, cfg))
     return None
 
 
@@ -555,7 +540,47 @@ class _Trie:
             self.accepting[node] = True
 
 
-class IdealRecognizer:
+class _LazyDfa:
+    """A subset construction run on demand.  A state is the frozenset of the
+    configurations some run can be in after the input so far; it accepts
+    when one of them does.  Subclasses give `_successors(cfg, symbol)` and
+    `_config_accepts(cfg)`, and set their own fields before calling
+    `__init__`, which interns the start state {()}."""
+
+    def __init__(self):
+        self._states: dict[frozenset, int] = {}
+        self._configs: list[frozenset] = []
+        self._accepting: list[bool] = []
+        self._trans: dict[tuple[int, tuple], int] = {}
+        self.start = self._intern(frozenset({()}))
+
+    def _intern(self, configs: frozenset) -> int:
+        sid = self._states.get(configs)
+        if sid is None:
+            sid = len(self._states)
+            self._states[configs] = sid
+            self._configs.append(configs)
+            self._accepting.append(any(self._config_accepts(cfg) for cfg in configs))
+        return sid
+
+    def step(self, state: int, symbol) -> int:
+        key = (state, symbol)
+        nxt = self._trans.get(key)
+        if nxt is None:
+            new = set()
+            for cfg in self._configs[state]:
+                new.update(self._successors(cfg, symbol))
+            nxt = self._trans[key] = self._intern(frozenset(new))
+        return nxt
+
+    def run(self, symbols) -> int:
+        state = self.start
+        for symbol in symbols:
+            state = self.step(state, symbol)
+        return state
+
+
+class IdealRecognizer(_LazyDfa):
     """On-the-fly determinization of the principal-ideal language of x.
 
     Semantically identical to compiling principal_ideal_language(x): each
@@ -567,37 +592,19 @@ class IdealRecognizer:
 
     def __init__(self, x: WeightedWord, letters=None):
         self.x = x
-        self.group = x.group
         self.alphabet = (
             tuple(letters) if letters is not None else tuple(sorted(set(x.letters), key=repr))
         )
         self.theta = theta_vector(x, self.alphabet)
         self.tries = [_Trie(minimal_fiber_words(x.group, w)) for w in x.weights]
-        self.n = len(x)
-        self._states: dict[frozenset, int] = {}
-        self._configs: list[frozenset] = []
-        self._accepting: list[bool] = []
-        self._trans: dict[tuple[int, tuple], int] = {}
-        self.start = self._intern(frozenset({()}))
+        super().__init__()
 
-    def _intern(self, configs: frozenset) -> int:
-        sid = self._states.get(configs)
-        if sid is None:
-            sid = len(self._states)
-            self._states[configs] = sid
-            self._configs.append(configs)
-            self._accepting.append(self._config_set_accepts(configs))
-        return sid
+    def _config_accepts(self, cfg: tuple) -> bool:
+        return len(cfg) == len(self.x) and all(
+            self.tries[i].accepting[node] for i, node in enumerate(cfg)
+        )
 
-    def _config_set_accepts(self, configs) -> bool:
-        for cfg in configs:
-            if len(cfg) == self.n and all(
-                self.tries[i].accepting[node] for i, node in enumerate(cfg)
-            ):
-                return True
-        return False
-
-    def _config_steps(self, cfg: tuple, symbol) -> list[tuple]:
+    def _successors(self, cfg: tuple, symbol) -> list[tuple]:
         a, w = symbol
         out = []
         opened = len(cfg)
@@ -609,7 +616,7 @@ class IdealRecognizer:
                 if child is not None:
                     out.append(cfg[:i] + (child,) + cfg[i + 1 :])
         # open the next fiber
-        if opened < self.n and letters[opened] == a:
+        if opened < len(letters) and letters[opened] == a:
             child = self.tries[opened].children[0].get(w)
             if child is not None:
                 out.append(cfg + (child,))
@@ -618,86 +625,34 @@ class IdealRecognizer:
             out.append(cfg)
         return out
 
-    def step(self, state: int, symbol) -> int:
-        key = (state, symbol)
-        nxt = self._trans.get(key)
-        if nxt is None:
-            new = set()
-            for cfg in self._configs[state]:
-                new.update(self._config_steps(cfg, symbol))
-            nxt = self._intern(frozenset(new))
-            self._trans[key] = nxt
-        return nxt
-
-    def is_ordered_accepting(self, state: int) -> bool:
-        return self._accepting[state]
-
     def accepts(self, y: WeightedWord) -> bool:
-        if y.group != self.group:
+        if y.group != self.x.group:
             raise ValidationError("word over a different weight group")
         if not set(y.letters) <= set(self.alphabet):
             return False
-        state = self.start
-        for symbol in y.symbols():
-            state = self.step(state, symbol)
-        return self._accepting[state] and theta_vector(y, self.alphabet) == self.theta
+        return self._accepting[self.run(y.symbols())] and theta_vector(y, self.alphabet) == self.theta
 
 
-class UpsetRecognizer:
+class UpsetRecognizer(_LazyDfa):
     """On-the-fly determinization of the direct order test {y : x <= y}.
 
-    Configurations are the tuples of running fiber sums of a partial ordered
-    surjection onto x; equivalent to exhaustive witness search, with no
-    reference to minimal words.
+    Configurations are the fiber-sum tuples of partial ordered surjections
+    onto x, stepped by `_fiber_steps` as in `leq`: the lazy DFA runs every
+    witness search at once, with no reference to minimal words.
     """
 
     def __init__(self, x: WeightedWord):
         self.x = x
-        self.group = x.group
-        self.n = len(x)
-        self._states: dict[frozenset, int] = {}
-        self._configs: list[frozenset] = []
-        self._accepting: list[bool] = []
-        self._trans: dict[tuple[int, tuple], int] = {}
-        self.start = self._intern(frozenset({()}))
+        super().__init__()
 
-    def _intern(self, configs: frozenset) -> int:
-        sid = self._states.get(configs)
-        if sid is None:
-            sid = len(self._states)
-            self._states[configs] = sid
-            self._configs.append(configs)
-            self._accepting.append(
-                any(len(c) == self.n and c == self.x.weights for c in configs)
-            )
-        return sid
+    def _config_accepts(self, cfg: tuple) -> bool:
+        return cfg == self.x.weights
 
-    def step(self, state: int, symbol) -> int:
-        key = (state, symbol)
-        nxt = self._trans.get(key)
-        if nxt is None:
-            a, w = symbol
-            letters = self.x.letters
-            new = set()
-            for cfg in self._configs[state]:
-                opened = len(cfg)
-                for i in range(opened):
-                    if letters[i] == a:
-                        new.add(cfg[:i] + (self.group.add(cfg[i], w),) + cfg[i + 1 :])
-                if opened < self.n and letters[opened] == a:
-                    new.add(cfg + (w,))
-            nxt = self._intern(frozenset(new))
-            self._trans[key] = nxt
-        return nxt
-
-    def is_accepting(self, state: int) -> bool:
-        return self._accepting[state]
+    def _successors(self, cfg: tuple, symbol):
+        return (nxt for _, nxt in _fiber_steps(self.x, cfg, *symbol))
 
     def accepts(self, y: WeightedWord) -> bool:
-        state = self.start
-        for symbol in y.symbols():
-            state = self.step(state, symbol)
-        return self._accepting[state]
+        return self._accepting[self.run(y.symbols())]
 
 
 # ---------------------------------------------------------------------------

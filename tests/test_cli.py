@@ -5,6 +5,7 @@ import sys
 import time
 
 from quasilang.cli import dumps, execute_request, main
+from quasilang.wordposet import OrderedSurjection, WeightedWord, validate_witness
 
 
 def run(req):
@@ -397,6 +398,85 @@ def test_malformed_group_payloads_are_rejected():
     assert run({"cmd": "group.table", "group": product})["result"]["order"] == 2
     assert run({"cmd": "group.restrict", "group": z2, "subgroup": trivial, "embedding": [0]})["result"] == [[1], [1]]
     assert run({"cmd": "group.table", "group": {"construct": "symmetric", "n": 0}})["result"]["order"] == 1
+
+
+def test_integer_fields_are_not_coerced():
+    """Every integer read from a payload is checked, not passed to int()."""
+    star = {"kind": "star", "symbols": ["a", "b"]}
+    dfa = run({"cmd": "lang.compile", "expr": star, "alphabet": ["a", "b"]})["result"]
+    rational = run({"cmd": "genfun.closed", "expr": star, "alphabet": ["a", "b"]})["result"]
+    z2 = {"construct": "cyclic", "n": 2}
+    trivial = {"construct": "cyclic", "n": 1}
+    x = {"letters": ["a"], "weights": [[1]], "orders": [2]}
+    y = {"letters": ["a", "a"], "weights": [[0], [1]], "orders": [2]}
+    enum = {"cmd": "lang.enum", "dfa": dfa, "bound": 1}
+    norm = {"pairs": [["a", 0], ["b", 1]], "size": 2}
+    filt = {"cmd": "genfun.filter", "rational": rational, "orders": [2], "psi": [[1], [0]], "target": [[0]]}
+    series = {"cmd": "poset.series", "orders": [2], "weights": [[1]], "degree": 1}
+    stability = {
+        "cmd": "wreath.stability", "group": z2, "lambda": [[], [1]], "mu": [[], [1]], "nu": [[], []], "n_range": [2, 3]
+    }
+    good = {"cmd": "group.good", "group": z2, "subgroups": [{"group": trivial, "embedding": [0]}]}
+    restrict = {"cmd": "group.restrict", "group": z2, "subgroup": trivial, "embedding": [0]}
+    cases = [
+        (dict(series, orders=["2"]), "orders must be an integer, got '2'"),
+        (dict(series, orders=[0]), "orders must be at least 1, got 0"),
+        (dict(series, weights=[[1.7]]), "weights must be an integer, got 1.7"),
+        (dict(restrict, embedding=["0"]), "embedding must be an integer, got '0'"),
+        (dict(good, subgroups=[{"group": trivial, "embedding": [0.0]}]), "embedding must be an integer, got 0.0"),
+        ({"cmd": "poset.leq", "x": dict(x, weights=[["1"]]), "y": y}, "weights must be an integer, got '1'"),
+        ({"cmd": "poset.leq", "x": x, "y": dict(y, orders=[True])}, "orders must be an integer, got True"),
+        (dict(enum, bound="2"), "bound must be an integer, got '2'"),
+        (dict(enum, bound=[1, 1.0]), "bound must be an integer, got 1.0"),
+        (dict(enum, bound=-1), "bound must be at least 0, got -1"),
+        (dict(enum, norm=dict(norm, pairs=[["a", "0"], ["b", 1]])), "pairs must be an integer, got '0'"),
+        (dict(enum, norm=dict(norm, size=2.0)), "size must be an integer, got 2.0"),
+        ({"cmd": "lang.member", "dfa": dict(dfa, start="0"), "word": []}, "start must be an integer, got '0'"),
+        (dict(stability, **{"lambda": [[], ["1"]]}), "lambda must be an integer, got '1'"),
+        (dict(stability, mu=[[], [0]]), "mu must be at least 1, got 0"),
+        (dict(stability, n_range=["2", 3.5]), "n_range must be an integer, got '2'"),
+        (dict(stability, n_range=[2, 3.5]), "n_range must be an integer, got 3.5"),
+        ({"cmd": "wreath.char", "group": z2, "lambda": [[1.0], []]}, "lambda must be an integer, got 1.0"),
+        ({"cmd": "genfun.translate", "rational": rational, "exponents": [1.5, 0]}, "exponents must be an integer, got 1.5"),
+        (dict(filt, orders=[2.0]), "orders must be an integer, got 2.0"),
+        (dict(filt, psi=[["1"], [0]]), "psi must be an integer, got '1'"),
+        (dict(filt, target=[[False]]), "target must be an integer, got False"),
+    ]
+    for req, expected in cases:
+        assert run(req) == {"status": "error", "diagnostics": ["ValidationError: " + expected]}, req
+    # the well-formed payloads still answer
+    for req in (series, restrict, good, {"cmd": "poset.leq", "x": x, "y": y}, enum, dict(enum, bound=[1, 1]),
+                dict(enum, norm=norm), {"cmd": "lang.member", "dfa": dfa, "word": []}, stability,
+                {"cmd": "wreath.char", "group": z2, "lambda": [[1], []]}, filt,
+                {"cmd": "genfun.translate", "rational": rational, "exponents": [1, 0]}):
+        assert run(req)["status"] == "ok", req
+
+
+def test_wreath_hilbert_series_box_is_budgeted():
+    # Z/12 has 12 irreducibles, so degree 2 spans 3^12 = 531,441 exponents
+    start = time.monotonic()
+    resp = run({"cmd": "wreath.hilbert", "group": {"construct": "cyclic", "n": 12}, "index": 0, "degree": 2})
+    elapsed = time.monotonic() - start
+    assert resp == {
+        "status": "error",
+        "diagnostics": ["ValidationError: degree: a series box of 531441 exponents exceeds the budget 200000"],
+    }
+    assert elapsed < 1, f"took {elapsed:.1f} s"
+    z2 = {"cmd": "wreath.hilbert", "group": {"construct": "cyclic", "n": 2}, "index": 1, "degree": 2}
+    assert run(dict(z2, budget=9))["status"] == "ok"
+    assert run(dict(z2, budget=8))["diagnostics"] == [
+        "ValidationError: degree: a series box of 9 exponents exceeds the budget 8"
+    ]
+
+
+def test_poset_leq_on_a_long_word_answers():
+    # the recursive witness search ran out of recursion at this length
+    x = {"letters": ["a", "b"], "weights": [[1], [0]], "orders": [2]}
+    y = {"letters": ["a", "b"] * 1000, "weights": [[1], [0]] + [[0]] * 1998, "orders": [2]}
+    resp = run({"cmd": "poset.leq", "x": x, "y": y})
+    assert resp["status"] == "ok", resp
+    f = OrderedSurjection(tuple(v - 1 for v in resp["result"]["map"]), resp["result"]["target_size"])
+    assert validate_witness(f, WeightedWord.from_json(x), WeightedWord.from_json(y))
 
 
 def test_determinism_byte_identical():

@@ -1,5 +1,6 @@
 import itertools
 import random
+import time
 from fractions import Fraction
 
 import pytest
@@ -149,6 +150,39 @@ def test_leq_reflexive_and_transitive():
         f, g = leq(x, y), leq(y, z)
         composite = OrderedSurjection(tuple(f.mapping[v] for v in g.mapping), len(x))
         assert validate_witness(composite, x, z)
+
+
+def _interleaved_inflation(rng, x: WeightedWord, m: int) -> WeightedWord:
+    """A word of length m above x: each position of x becomes a fiber of the
+    same letter whose weights sum to its weight; fibers open in order and
+    otherwise interleave at random."""
+    group, n = x.group, len(x)
+    sizes = [1] * n
+    for _ in range(m - n):
+        sizes[rng.randrange(n)] += 1
+    fibers = []
+    for w, size in zip(x.weights, sizes):
+        ws = [rng.choice(group.elements()) for _ in range(size - 1)]
+        fibers.append(ws + [group.add(w, group.neg(group.sum(ws)))])
+    letters, weights, opened = [], [], 0
+    while len(letters) < m:
+        i = rng.choice([i for i in range(opened) if fibers[i]] + ([opened] if opened < n else []))
+        opened = max(opened, i + 1)
+        letters.append(x.letters[i])
+        weights.append(fibers[i].pop(0))
+    return WeightedWord(tuple(letters), tuple(weights), group)
+
+
+def test_leq_on_long_inflated_pairs_is_fast():
+    # each failed (position, fiber sums) state is searched once; backtracking
+    # without that memo took seconds on pairs like these
+    x = word("abab", (1, 0, 1, 0))
+    for seed in range(5):
+        y = _interleaved_inflation(random.Random(seed), x, 130)
+        start = time.monotonic()
+        f = leq(x, y)
+        assert time.monotonic() - start < 2.0, seed
+        assert f is not None and validate_witness(f, x, y)
 
 
 def test_leq_implies_equal_invariants():

@@ -7,11 +7,16 @@ reduced-star principal-ideal language, and gives up (None) as soon as one of
 those languages fails its unambiguity certificate.  That happens for every
 k >= 2 over Z/2, so the reference can only be compared where it certifies:
 the trivial group and a single point over Z/2.
+
+The memoized witness search `leq` is checked against the recursive
+backtracking search it replaced, kept here as the reference: both must
+return the same (lexicographically least) witness, or both None.
 """
 
 from __future__ import annotations
 
 import itertools
+import random
 import time
 
 import pytest
@@ -19,7 +24,15 @@ import pytest
 from quasilang.errors import AmbiguousExpressionError
 from quasilang.genfun import FactoredRational, quasi_ordered_genfun
 from quasilang.langkit import AbelianGroup, Norm
-from quasilang.wordposet import WeightedWord, fws_principal_series, principal_ideal_language
+from quasilang.wordposet import (
+    OrderedSurjection,
+    WeightedWord,
+    fws_principal_series,
+    leq,
+    principal_ideal_language,
+    validate_witness,
+    weight_invariant,
+)
 
 TRIVIAL = AbelianGroup(())
 Z2 = AbelianGroup((2,))
@@ -102,3 +115,106 @@ def test_z3_three_zero_weights_within_ten_seconds():
     # one factor per nonempty multiset of at most 3 of the 3 characters
     assert len(closed.factors) == 3 + 6 + 10
     assert closed.expand(series.bound) == series
+
+
+# ---------------------------------------------------------------------------
+# the recursive witness search
+
+
+def recursive_leq(x: WeightedWord, y: WeightedWord):
+    """Backtracking over the fiber of each position of y, left to right,
+    pruned when the rest of y lacks the letters of the unopened fibers."""
+    group = x.group
+    n, m = len(x), len(y)
+    if n == 0 or m == 0:
+        return OrderedSurjection((), 0) if n == m else None
+    if n > m:
+        return None
+    letters = set(x.letters) | set(y.letters)
+    if weight_invariant(x, letters) != weight_invariant(y, letters):
+        return None
+    suffix: list[dict] = [dict() for _ in range(m + 1)]
+    for j in range(m - 1, -1, -1):
+        suffix[j] = dict(suffix[j + 1])
+        suffix[j][y.letters[j]] = suffix[j].get(y.letters[j], 0) + 1
+    needed: list[dict] = [dict() for _ in range(n + 1)]
+    for i in range(n - 1, -1, -1):
+        needed[i] = dict(needed[i + 1])
+        needed[i][x.letters[i]] = needed[i].get(x.letters[i], 0) + 1
+    assignment = [0] * m
+    sums = [group.identity()] * n
+
+    def rec(j: int, opened: int) -> bool:
+        if j == m:
+            return opened == n and tuple(sums) == x.weights
+        if any(suffix[j].get(a, 0) < need for a, need in needed[opened].items()):
+            return False
+        a, w = y.letters[j], y.weights[j]
+        for i in range(opened):
+            if x.letters[i] == a:
+                assignment[j] = i
+                old = sums[i]
+                sums[i] = group.add(old, w)
+                if rec(j + 1, opened):
+                    return True
+                sums[i] = old
+        if opened < n and x.letters[opened] == a:
+            assignment[j] = opened
+            sums[opened] = w
+            if rec(j + 1, opened + 1):
+                return True
+            sums[opened] = group.identity()
+        return False
+
+    return OrderedSurjection(tuple(assignment), n) if rec(0, 0) else None
+
+
+def _random_word(rng, group, n):
+    return WeightedWord(
+        tuple(rng.choice("ab") for _ in range(n)),
+        tuple(rng.choice(group.elements()) for _ in range(n)),
+        group,
+    )
+
+
+def _inflated(rng, x, m):
+    """A word of length m above x: a random ordered surjection onto x pulls
+    the letters back, and random weights on each fiber sum to x's weight."""
+    group, n = x.group, len(x)
+    mapping = list(range(n)) + [rng.randrange(n) for _ in range(m - n)]
+    rng.shuffle(mapping)
+    order = {}
+    for v in mapping:
+        order.setdefault(v, len(order))
+    mapping = [order[v] for v in mapping]
+    weights = [rng.choice(group.elements()) for _ in mapping]
+    for i in range(n):
+        fiber = [j for j, v in enumerate(mapping) if v == i]
+        rest = group.identity()
+        for j in fiber[1:]:
+            rest = group.add(rest, weights[j])
+        weights[fiber[0]] = group.add(x.weights[i], group.neg(rest))
+    letters = tuple(x.letters[v] for v in mapping)
+    y = WeightedWord(letters, tuple(weights), group)
+    assert validate_witness(OrderedSurjection(tuple(mapping), n), x, y)
+    return y
+
+
+@pytest.mark.parametrize(
+    "group", [TRIVIAL, Z2, Z3, Z2Z2], ids=["trivial", "z2", "z3", "z2xz2"]
+)
+def test_memoized_leq_matches_the_recursive_search(group):
+    rng = random.Random(1410)
+    found = 0
+    for k in range(1500):
+        x = _random_word(rng, group, rng.randint(k % 2, 4))
+        if k % 2:
+            y = _inflated(rng, x, rng.randint(len(x), 10))
+        else:
+            y = _random_word(rng, group, rng.randint(0, 10))
+        expect, got = recursive_leq(x, y), leq(x, y)
+        assert (None if got is None else got.to_json()) == (
+            None if expect is None else expect.to_json()
+        ), (x, y)
+        found += got is not None
+    assert found >= 750
