@@ -159,7 +159,10 @@ def _cmd_genfun_closed(req):
 
 def _cmd_genfun_translate(req):
     F = FactoredRational.from_json(req["rational"])
-    out = cyclotomic_translate(F, [require_int(k, "exponents") for k in req["exponents"]], req.get("root_order"))
+    root_order = req.get("root_order")
+    if root_order is not None:
+        require_int(root_order, "root_order", 1)
+    out = cyclotomic_translate(F, [require_int(k, "exponents") for k in req["exponents"]], root_order)
     return out.to_json()
 
 

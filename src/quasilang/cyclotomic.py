@@ -23,7 +23,7 @@ from fractions import Fraction
 from functools import lru_cache
 from math import gcd, lcm
 
-from .errors import ValidationError
+from .errors import ValidationError, require_int
 
 Rational = Fraction
 
@@ -361,7 +361,9 @@ def fraction_to_str(q: Fraction) -> str:
     return str(q.numerator) if q.denominator == 1 else f"{q.numerator}/{q.denominator}"
 
 
-def cyclotomic_to_json(c: CyclotomicNumber) -> list:
+def cyclotomic_to_json(c: CyclotomicNumber | int) -> list:
+    if type(c) is int:  # the order-1 number c
+        return [1, [str(c)]]
     if c._den == 1:  # integral coordinates: no Fractions to build
         return [c.order, [str(n) for n in c._num]]
     return [c.order, [fraction_to_str(x) for x in c.coeffs]]
@@ -371,4 +373,4 @@ def cyclotomic_from_json(data) -> CyclotomicNumber:
     if not isinstance(data, (list, tuple)) or len(data) != 2:
         raise ValidationError(f"bad cyclotomic JSON: {data!r}")
     order, coeffs = data
-    return CyclotomicNumber(int(order), [Fraction(str(x)) for x in coeffs])
+    return CyclotomicNumber(require_int(order, "order"), [Fraction(str(x)) for x in coeffs])

@@ -19,7 +19,7 @@ from .cyclotomic import (
     cyclotomic_from_json,
     cyclotomic_to_json,
 )
-from .errors import AmbiguousExpressionError, ValidationError
+from .errors import AmbiguousExpressionError, ValidationError, require_int
 from .langkit import (
     AbelianGroup,
     Concat,
@@ -328,36 +328,43 @@ class FactoredRational:
             LinearForm({v: cyclotomic_from_json(c) for v, c in terms})
             for terms in data["factors"]
         )
-        return cls(int(data["nvars"]), int(data["order"]), num, factors)
+        return cls(require_int(data["nvars"], "nvars", 0), require_int(data["order"], "order", 1), num, factors)
 
 
 class SeriesTruncation:
-    """Exact truncated power series: coefficients for exponents <= bound."""
+    """Exact truncated power series: coefficients for exponents <= bound, each
+    an `int` (the order-1 number it stands for) or a `CyclotomicNumber`."""
 
     __slots__ = ("order", "bound", "coefficients")
 
     def __init__(self, order: int, bound: tuple[int, ...], coefficients: dict):
         self.order = order
         self.bound = tuple(bound)
+        # one max per coordinate; only a failure looks for the exponent to name
+        for top, b in zip(map(max, zip(*coefficients)), self.bound):
+            if top > b:
+                e = next(e for e in coefficients if any(x > y for x, y in zip(e, self.bound)))
+                raise ValidationError(f"exponent {e} exceeds the bound {self.bound}")
         self.coefficients = {}
         for e, c in coefficients.items():
-            if any(x > b for x, b in zip(e, self.bound)):
-                raise ValidationError(f"exponent {e} exceeds the bound {self.bound}")
-            if not isinstance(c, CyclotomicNumber):
+            if type(c) is not int and not isinstance(c, CyclotomicNumber):
                 c = CyclotomicNumber.from_rational(c)
-            if not c.is_zero():
+            if c:
                 self.coefficients[e] = c
 
     def coefficient(self, exponent) -> CyclotomicNumber:
-        return self.coefficients.get(tuple(exponent), CyclotomicNumber.zero(self.order))
+        c = self.coefficients.get(tuple(exponent))
+        if c is None:
+            return CyclotomicNumber.zero(self.order)
+        return CyclotomicNumber.from_rational(c) if type(c) is int else c
 
     def __eq__(self, other) -> bool:
         if not isinstance(other, SeriesTruncation):
             return NotImplemented
         if self.bound != other.bound:
             return False
-        keys = set(self.coefficients) | set(other.coefficients)
-        return all(self.coefficient(e) == other.coefficient(e) for e in keys)
+        a, b = self.coefficients, other.coefficients
+        return all(a.get(e, 0) == b.get(e, 0) for e in a.keys() | b.keys())
 
     __hash__ = None
 
@@ -376,7 +383,7 @@ class SeriesTruncation:
     @classmethod
     def from_json(cls, data: dict) -> "SeriesTruncation":
         coeffs = {tuple(e): cyclotomic_from_json(c) for e, c in data["coefficients"]}
-        return cls(int(data["order"]), tuple(data["bound"]), coeffs)
+        return cls(require_int(data["order"], "order", 1), tuple(data["bound"]), coeffs)
 
 
 # ---------------------------------------------------------------------------
@@ -392,7 +399,8 @@ def series_from_dfa(dfa: Dfa, norm: Norm, bound) -> SeriesTruncation:
     the current length that reach it.  The transitions from p to q of norm
     index i are merged into one edge with a multiplicity, and a step along i
     from an exponent with e_i = bound_i leaves the box and is dropped.  A
-    negative coordinate gives the empty series."""
+    negative coordinate gives the empty series.  The counts stay ints: the
+    series holds them as they are, in index order."""
     if isinstance(bound, int):
         bound = (bound,) * norm.size
     bound = tuple(bound)
@@ -413,26 +421,27 @@ def series_from_dfa(dfa: Dfa, norm: Norm, bound) -> SeriesTruncation:
         for i, q in zip(indices, row):
             if q in live:
                 edges[p].setdefault(i, Counter())[q] += 1
-    totals: dict[int, int] = {}
+    # steps[p] = [(stride, period, limit, ((q, multiplicity), ...)) per index i];
+    # e_i < bound_i exactly when e mod (stride_i (bound_i + 1)) < stride_i bound_i
+    boxes = [(s, s * (b + 1), s * b) for s, b in zip(strides, bound)]
+    steps = [[(*boxes[i], tuple(targets.items())) for i, targets in row.items()] for row in edges]
+    totals = [0] * prod(b + 1 for b in bound)
     layer = {dfa.start: {0: 1}} if dfa.start in live and min(bound, default=0) >= 0 else {}
     while layer:
-        for q in dfa.accepting & layer.keys():
-            for e, c in layer[q].items():
-                totals[e] = totals.get(e, 0) + c
         nxt: dict[int, dict[int, int]] = {}
         for p, counts in layer.items():
-            for i, targets in edges[p].items():
-                # e_i < bound_i exactly when e mod (stride_i (bound_i + 1)) < stride_i bound_i
-                stride = strides[i]
-                period, limit = stride * (bound[i] + 1), stride * bound[i]
+            if p in dfa.accepting:
+                for e, c in counts.items():
+                    totals[e] += c
+            for stride, period, limit, targets in steps[p]:
                 stepped = [(e + stride, c) for e, c in counts.items() if e % period < limit]
-                for q, mult in targets.items():
+                for q, mult in targets:
                     target = nxt.setdefault(q, {})
                     for f, c in stepped:
                         target[f] = target.get(f, 0) + c * mult
         layer = {q: counts for q, counts in nxt.items() if counts}
-    exponents = list(itertools.product(*(range(b + 1) for b in bound))) if totals else []
-    return SeriesTruncation(1, bound, {exponents[e]: c for e, c in totals.items()})
+    exponents = itertools.compress(itertools.product(*(range(b + 1) for b in bound)), totals)
+    return SeriesTruncation(1, bound, dict(zip(exponents, filter(None, totals))))
 
 
 # ---------------------------------------------------------------------------

@@ -719,7 +719,7 @@ def fws_principal_series(weights, group: AbelianGroup, bound: int):
             points.extend([e] * mult)
         count = _count_weighted_surjections(points, weights, group)
         if count:
-            coeffs[n] = CyclotomicNumber.from_rational(Fraction(multinomial(n) * count))
+            coeffs[n] = multinomial(n) * count
     series = SeriesTruncation(1, bounds, coeffs)
 
     # chi_m(g) = zeta_N^char_exponent(m, g) for m in Lambda; None leaves point i

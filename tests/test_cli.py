@@ -97,6 +97,13 @@ def test_poset_commands():
     assert series["result"]["closed"] is not None
 
 
+def test_poset_series_json_is_byte_identical():
+    resp = run({"cmd": "poset.series", "orders": [2], "weights": [[1]], "degree": 2})
+    assert dumps(resp["result"]["series"]) == (
+        '{"bound":[2,2],"coefficients":[[[0,1],[1,["1"]]],[[1,1],[1,["2"]]],[[2,1],[1,["3"]]]],"order":1}'
+    )
+
+
 def test_group_commands():
     table = run({"cmd": "group.table", "group": {"construct": "symmetric", "n": 3}})
     assert table["status"] == "ok" and len(table["result"]["rows"]) == 3
@@ -418,6 +425,8 @@ def test_integer_fields_are_not_coerced():
     }
     good = {"cmd": "group.good", "group": z2, "subgroups": [{"group": trivial, "embedding": [0]}]}
     restrict = {"cmd": "group.restrict", "group": z2, "subgroup": trivial, "embedding": [0]}
+    expand = {"cmd": "genfun.expand", "rational": rational, "degree": 1}
+    translate = {"cmd": "genfun.translate", "rational": rational, "exponents": [1, 0], "root_order": 2}
     cases = [
         (dict(series, orders=["2"]), "orders must be an integer, got '2'"),
         (dict(series, orders=[0]), "orders must be at least 1, got 0"),
@@ -441,13 +450,21 @@ def test_integer_fields_are_not_coerced():
         (dict(filt, orders=[2.0]), "orders must be an integer, got 2.0"),
         (dict(filt, psi=[["1"], [0]]), "psi must be an integer, got '1'"),
         (dict(filt, target=[[False]]), "target must be an integer, got False"),
+        (dict(expand, rational=dict(rational, nvars="2")), "nvars must be an integer, got '2'"),
+        (dict(expand, rational=dict(rational, nvars=1.9)), "nvars must be an integer, got 1.9"),
+        (dict(expand, rational=dict(rational, order=True)), "order must be an integer, got True"),
+        (dict(expand, rational=dict(rational, numerator=[[e, [1.7, c[1]]] for e, c in rational["numerator"]])),
+         "order must be an integer, got 1.7"),
+        (dict(translate, root_order="2"), "root_order must be an integer, got '2'"),
+        (dict(translate, root_order=0), "root_order must be at least 1, got 0"),
+        (dict(translate, root_order=True), "root_order must be an integer, got True"),
     ]
     for req, expected in cases:
         assert run(req) == {"status": "error", "diagnostics": ["ValidationError: " + expected]}, req
     # the well-formed payloads still answer
     for req in (series, restrict, good, {"cmd": "poset.leq", "x": x, "y": y}, enum, dict(enum, bound=[1, 1]),
                 dict(enum, norm=norm), {"cmd": "lang.member", "dfa": dfa, "word": []}, stability,
-                {"cmd": "wreath.char", "group": z2, "lambda": [[1], []]}, filt,
+                {"cmd": "wreath.char", "group": z2, "lambda": [[1], []]}, filt, expand, translate,
                 {"cmd": "genfun.translate", "rational": rational, "exponents": [1, 0]}):
         assert run(req)["status"] == "ok", req
 

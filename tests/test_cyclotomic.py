@@ -13,6 +13,7 @@ from quasilang.cyclotomic import (
     cyclotomic_to_json,
     euler_phi,
 )
+from quasilang.errors import ValidationError
 
 
 def test_euler_phi_small():
@@ -133,6 +134,13 @@ def test_json_round_trip():
         back = cyclotomic_from_json(blob)
         assert back == v and back.order == v.order
         assert cyclotomic_to_json(back) == blob
+
+
+def test_an_int_serializes_as_the_order_one_number():
+    for n in (0, 1, -7, 3**40):
+        assert cyclotomic_to_json(n) == cyclotomic_to_json(CyclotomicNumber.from_rational(n)) == [1, [str(n)]]
+    with pytest.raises(ValidationError, match="order must be an integer, got 1.7"):
+        cyclotomic_from_json([1.7, ["1"]])
 
 
 def test_package_exports_import():

@@ -301,6 +301,55 @@ def test_series_json_round_trip():
     assert t == s and t.to_json() == blob
 
 
+def test_series_truncation_rejects_an_exponent_outside_the_bound():
+    # the first offending exponent in insertion order is named, whatever the
+    # coefficient type, and a zero coefficient outside the bound counts too
+    message = r"^exponent \(1, 4\) exceeds the bound \(3, 3\)$"
+    for value in (2, Fraction(1, 2), CyclotomicNumber.root(4, 1), 0):
+        with pytest.raises(ValidationError, match=message):
+            SeriesTruncation(1, (3, 3), {(0, 0): value, (1, 4): value, (5, 0): value})
+    blob = {"order": 1, "bound": [3, 3], "coefficients": [[[3, 3], [1, ["1"]]], [[4, 0], [4, ["0", "1"]]]]}
+    with pytest.raises(ValidationError, match=r"^exponent \(4, 0\) exceeds the bound \(3, 3\)$"):
+        SeriesTruncation.from_json(blob)
+    # the corner of the box is inside it
+    assert SeriesTruncation(1, (3, 3), {(3, 3): 1, (0, 3): 2}).coefficient((3, 3)) == 1
+
+
+def test_series_from_dfa_stores_ints_and_reads_cyclotomics():
+    d = compile_ordered(Star(AB), AB)
+    series = series_from_dfa(d, Norm.universal(AB), (3, 3))
+    assert all(type(c) is int for c in series.coefficients.values())
+    for e, count in [((2, 1), 3), ((0, 0), 1), ((3, 3), 20)]:
+        c = series.coefficient(e)
+        assert isinstance(c, CyclotomicNumber) and c.order == 1 and c.rational_value() == count
+    zero = series_from_dfa(compile_ordered(Empty(), AB), Norm.universal(AB), (3, 3)).coefficient((1, 1))
+    assert isinstance(zero, CyclotomicNumber) and zero.is_zero()
+
+
+def test_int_backed_series_equals_the_cyclotomic_expansion():
+    F = quasi_ordered_genfun(QuasiOrderedExpr(Star(AB), even_a_spec()))
+    expanded = F.expand((5, 5))
+    dfa = intersect_dfa(compile_ordered(Star(AB), AB), compile_congruence(even_a_spec()))
+    counted = series_from_dfa(dfa, Norm.universal(AB), (5, 5))
+    assert all(type(c) is CyclotomicNumber and c.order == 2 for c in expanded.coefficients.values())
+    assert counted == expanded and expanded == counted
+    off_by_one = dict(counted.coefficients)
+    off_by_one[(2, 1)] += 1
+    assert SeriesTruncation(1, (5, 5), off_by_one) != expanded
+    missing = dict(counted.coefficients)
+    del missing[(0, 5)]
+    assert SeriesTruncation(1, (5, 5), missing) != expanded
+
+
+def test_series_from_dfa_json_round_trip():
+    d = compile_ordered(Concat((Star(AB), Sym("a"), Star(("b",)))), AB)
+    series = series_from_dfa(d, Norm.universal(AB), (4, 3))
+    blob = series.to_json()
+    back = SeriesTruncation.from_json(blob)
+    assert back == series and series == back and back.to_json() == blob
+    assert [e for e, _ in blob["coefficients"]] == sorted(e for e, _ in blob["coefficients"])
+
+
 def test_geometric_sum_equals_pairwise_addition():
     rng = random.Random(7)
     for order, nvars in [(1, 2), (3, 3), (4, 2), (6, 2)]:

@@ -1,4 +1,5 @@
 import itertools
+import json
 import random
 import time
 from fractions import Fraction
@@ -7,7 +8,7 @@ import pytest
 
 from quasilang.cyclotomic import CyclotomicNumber
 from quasilang.errors import NoWitnessError, PreconditionError, ValidationError
-from quasilang.genfun import FactoredRational, LinearForm, cyclotomic_translate
+from quasilang.genfun import FactoredRational, LinearForm, SeriesTruncation, cyclotomic_translate
 from quasilang.langkit import AbelianGroup, compile_quasi_ordered
 from quasilang.wordposet import (
     IdealRecognizer,
@@ -489,6 +490,16 @@ def test_fws_series_counts_by_enumeration():
     # n = (1 zero, 1 one): maps from {p0, p1} onto two points with weights 1, 0
     assert series.coefficient((1, 1)) == 2  # C_n = 2, exactly one surjection each way
     assert series.coefficient((0, 1)) == 0  # cannot cover two targets with one point
+
+
+def test_fws_series_ints_serialize_as_the_boxed_counts():
+    for weights in ([(1,), (0,)], [(0,), (0,), (1,)], [(1,), (1,)]):
+        series, _ = fws_principal_series(weights, Z2, 4)
+        assert series.coefficients and all(type(c) is int for c in series.coefficients.values())
+        boxed = SeriesTruncation(
+            1, series.bound, {e: CyclotomicNumber.from_rational(c) for e, c in series.coefficients.items()}
+        )
+        assert json.dumps(series.to_json()) == json.dumps(boxed.to_json())
 
 
 def test_weighted_word_json_round_trip():
