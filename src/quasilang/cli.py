@@ -15,11 +15,10 @@ from math import prod
 
 from . import grouptheory, segre, wordposet, wreath
 from .cyclotomic import cyclotomic_to_json
-from .errors import QuasilangError, ValidationError, require_int
+from .errors import QuasilangError, ValidationError, require_int, require_list
 from .genfun import (
     FactoredRational,
     congruence_filter,
-    cyclotomic_translate,
     ordered_genfun,
     quasi_ordered_genfun,
     series_from_dfa,
@@ -29,7 +28,6 @@ from .langkit import (
     Norm,
     compile_congruence,
     compile_ordered,
-    compile_quasi_ordered,
     congruence_from_json,
     dfa_from_json,
     dfa_to_json,
@@ -114,14 +112,14 @@ def _table_to_json(t: grouptheory.CharacterTable) -> dict:
 def _cmd_lang_compile(req):
     if "congruence" in req:
         return dfa_to_json(compile_congruence(congruence_from_json(req["congruence"])))
-    alphabet = tuple(symbol_from_json(s) for s in req["alphabet"])
+    alphabet = tuple(symbol_from_json(s) for s in require_list(req["alphabet"], "alphabet"))
     dfa = compile_ordered(expr_from_json(req["expr"]), alphabet)
     return dfa_to_json(dfa)
 
 
 def _cmd_lang_member(req):
     dfa = dfa_from_json(req["dfa"])
-    word = tuple(symbol_from_json(s) for s in req["word"])
+    word = tuple(symbol_from_json(s) for s in require_list(req["word"], "word"))
     return membership(dfa, word)
 
 
@@ -151,7 +149,7 @@ def _cmd_genfun_closed(req):
     if "quasi" in req:
         F = quasi_ordered_genfun(quasi_from_json(req["quasi"]))
     else:
-        alphabet = tuple(symbol_from_json(s) for s in req["alphabet"])
+        alphabet = tuple(symbol_from_json(s) for s in require_list(req["alphabet"], "alphabet"))
         norm = _norm_from_json(req.get("norm"), alphabet)
         F = ordered_genfun(expr_from_json(req["expr"]), alphabet, norm)
     return F.to_json()
@@ -162,7 +160,7 @@ def _cmd_genfun_translate(req):
     root_order = req.get("root_order")
     if root_order is not None:
         require_int(root_order, "root_order", 1)
-    out = cyclotomic_translate(F, [require_int(k, "exponents") for k in req["exponents"]], root_order)
+    out = F.translate([require_int(k, "exponents") for k in req["exponents"]], root_order)
     return out.to_json()
 
 
@@ -194,7 +192,7 @@ def _cmd_poset_minimal(req):
 
 def _cmd_poset_ideal(req):
     x = WeightedWord.from_json(req["x"])
-    letters = tuple(req["letters"]) if "letters" in req else None
+    letters = tuple(require_list(req["letters"], "letters")) if "letters" in req else None
     q = principal_ideal_language(x, letters=letters, reduced_stars=bool(req.get("reduced_stars")))
     return quasi_to_json(q)
 

@@ -25,8 +25,6 @@ from math import gcd, lcm
 
 from .errors import ValidationError, require_int
 
-Rational = Fraction
-
 
 @lru_cache(maxsize=None)
 def euler_phi(n: int) -> int:

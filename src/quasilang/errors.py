@@ -1,5 +1,5 @@
-"""Exception types shared across the package, and the integer check that
-raises them on outside input."""
+"""Exception types shared across the package, and the integer and list
+checks that raise them on outside input."""
 
 
 class QuasilangError(Exception):
@@ -37,4 +37,24 @@ def require_int(value, field: str, least: int | None = None) -> int:
         raise ValidationError(f"{field} must be an integer, got {value!r}")
     if least is not None and value < least:
         raise ValidationError(f"{field} must be at least {least}, got {value}")
+    return value
+
+
+def require_ints(values, field: str, least: int | None = None) -> tuple:
+    """`values` as a tuple when every entry passes `require_int`; otherwise
+    the ValidationError of its first entry that does not.  The entries are
+    scanned once, by type and minimum, and the message is built only on
+    failure."""
+    values = tuple(values)
+    if set(map(type, values)) - {int} or (least is not None and min(values, default=least) < least):
+        for v in values:
+            require_int(v, field, least)
+    return values
+
+
+def require_list(value, field: str) -> list:
+    """`value` when it is a list; otherwise a ValidationError that names
+    `field`, so that a string is not read as its characters."""
+    if not isinstance(value, list):
+        raise ValidationError(f"{field} must be a list, got {type(value).__name__}")
     return value

@@ -19,7 +19,7 @@ from .cyclotomic import (
     cyclotomic_from_json,
     cyclotomic_to_json,
 )
-from .errors import AmbiguousExpressionError, ValidationError, require_int
+from .errors import AmbiguousExpressionError, ValidationError, require_int, require_ints
 from .langkit import (
     AbelianGroup,
     Concat,
@@ -84,13 +84,6 @@ class LinearForm:
 
     def scaled_vars(self, scale: dict[int, CyclotomicNumber]) -> "LinearForm":
         return LinearForm({v: (c * scale[v] if v in scale else c) for v, c in self.terms})
-
-    def rename(self, mapping) -> "LinearForm":
-        out: dict = {}
-        for v, c in self.terms:
-            w = mapping[v]
-            out[w] = out[w] + c if w in out else c
-        return LinearForm(out)
 
     def as_poly(self, nvars: int) -> dict:
         def unit(v):
@@ -248,7 +241,8 @@ class FactoredRational:
     # -- substitutions -------------------------------------------------------
 
     def translate(self, exponents, root_order: int | None = None) -> "FactoredRational":
-        """Substitute t_i <- zeta^(k_i) t_i with zeta primitive of root_order."""
+        """Substitute t_i <- zeta^(k_i) t_i with zeta primitive of root_order:
+        the coefficient of t^n picks up prod_i zeta^(k_i n_i)."""
         if len(exponents) != self.nvars:
             raise ValidationError("need one root-of-unity exponent per variable")
         ro = root_order or self.order
@@ -260,18 +254,6 @@ class FactoredRational:
             num[e] = c * mult
         factors = tuple(f.lift(order).scaled_vars(scale) for f in self.factors)
         return FactoredRational(self.nvars, order, num, factors)
-
-    def rename_variables(self, mapping, new_nvars: int) -> "FactoredRational":
-        """Substitute t_i <- t_mapping[i] (a variable-to-variable ring map)."""
-        num: dict = {}
-        for e, c in self.numerator.items():
-            new_e = [0] * new_nvars
-            for v, k in enumerate(e):
-                new_e[mapping[v]] += k
-            key = tuple(new_e)
-            num[key] = num[key] + c if key in num else c
-        factors = tuple(f.rename(mapping) for f in self.factors)
-        return FactoredRational(new_nvars, self.order, num, factors)
 
     # -- expansion ------------------------------------------------------------
 
@@ -323,12 +305,17 @@ class FactoredRational:
 
     @classmethod
     def from_json(cls, data: dict) -> "FactoredRational":
-        num = {tuple(e): cyclotomic_from_json(c) for e, c in data["numerator"]}
-        factors = tuple(
-            LinearForm({v: cyclotomic_from_json(c) for v, c in terms})
-            for terms in data["factors"]
-        )
-        return cls(require_int(data["nvars"], "nvars", 0), require_int(data["order"], "order", 1), num, factors)
+        nvars = require_int(data["nvars"], "nvars", 0)
+        num = {require_ints(e, "numerator", 0): cyclotomic_from_json(c) for e, c in data["numerator"]}
+        factors = []
+        for terms in data["factors"]:
+            form = {}
+            for v, c in terms:
+                if require_int(v, "factors", 0) >= nvars:
+                    raise ValidationError(f"factors: variable {v} is out of range for nvars {nvars}")
+                form[v] = cyclotomic_from_json(c)
+            factors.append(LinearForm(form))
+        return cls(nvars, require_int(data["order"], "order", 1), num, factors)
 
 
 class SeriesTruncation:
@@ -493,7 +480,7 @@ def certify_unambiguous(expr, alphabet) -> Dfa:
     unique factorization for every word.  Returns the compiled automaton of
     the whole expression; raises AmbiguousExpressionError otherwise.
     """
-    symbols = tuple(alphabet.symbols) if hasattr(alphabet, "symbols") else tuple(alphabet)
+    symbols = tuple(alphabet)
     if isinstance(expr, (Empty, Epsilon, Sym, Star)):
         return compile_ordered(expr, symbols)
     if isinstance(expr, Union):
@@ -530,7 +517,7 @@ def ordered_genfun(expr, alphabet, norm: Norm | None = None) -> FactoredRational
     Singleton(x) becomes t_(nu x); Star(Pi) becomes 1/(1 - sum of its
     variables); concatenation multiplies and certified-disjoint union adds.
     """
-    symbols = tuple(alphabet.symbols) if hasattr(alphabet, "symbols") else tuple(alphabet)
+    symbols = tuple(alphabet)
     if norm is None:
         norm = Norm.universal(symbols)
     if not norm.is_universal:
@@ -566,11 +553,6 @@ def ordered_genfun(expr, alphabet, norm: Norm | None = None) -> FactoredRational
     return build(expr)
 
 
-def cyclotomic_translate(F: FactoredRational, exponents, root_order: int | None = None) -> FactoredRational:
-    """Substitute t_i <- zeta^(k_i) t_i; coefficient of t^n picks up prod zeta_i^(n_i)."""
-    return F.translate(exponents, root_order)
-
-
 def congruence_filter(F: FactoredRational, psi, group: AbelianGroup, target) -> FactoredRational:
     """Keep exactly the coefficients a_n with psi(n) in the target subset.
 
@@ -596,7 +578,7 @@ def congruence_filter(F: FactoredRational, psi, group: AbelianGroup, target) -> 
         if coeff.is_zero():
             continue
         exps = [group.char_exponent(chi, g, n_mod) for g in psi]
-        result = result + cyclotomic_translate(F, exps, n_mod).scale(coeff)
+        result = result + F.translate(exps, n_mod).scale(coeff)
     return result
 
 

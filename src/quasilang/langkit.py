@@ -6,12 +6,10 @@ their intersections, the quasi-ordered languages."""
 from __future__ import annotations
 
 import itertools
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from math import gcd, lcm, prod
 
-from .errors import ValidationError, require_int
-
-Symbol = object  # symbols are opaque hashables (strings, tuples, ...)
+from .errors import ValidationError, require_int, require_ints, require_list
 
 
 # ---------------------------------------------------------------------------
@@ -78,7 +76,7 @@ class AbelianGroup:
 
 
 # ---------------------------------------------------------------------------
-# alphabets and norms
+# norms
 
 
 class Norm:
@@ -116,21 +114,6 @@ class Norm:
         for s in word:
             v[self.index(s)] += 1
         return tuple(v)
-
-
-@dataclass(frozen=True)
-class Alphabet:
-    symbols: tuple
-    norm_map: dict | None = None
-
-    def __post_init__(self):
-        if len(set(self.symbols)) != len(self.symbols):
-            raise ValidationError("alphabet symbols must be distinct")
-
-    def norm(self) -> Norm:
-        if self.norm_map is None:
-            return Norm.universal(self.symbols)
-        return Norm({s: self.norm_map[s] for s in self.symbols})
 
 
 # ---------------------------------------------------------------------------
@@ -180,9 +163,6 @@ class Concat:
         object.__setattr__(self, "parts", tuple(parts))
 
 
-LanguageExpr = (Empty, Epsilon, Sym, Star, Union, Concat)
-
-
 def expr_symbols(expr) -> set:
     if isinstance(expr, (Empty, Epsilon)):
         return set()
@@ -222,6 +202,8 @@ class Dfa:
         self.start = start
         self.accepting = frozenset(accepting)
         self._sym_index = {s: i for i, s in enumerate(self.alphabet)}
+        if len(self._sym_index) != len(self.alphabet):
+            raise ValidationError("alphabet symbols must be distinct")
         n, targets = len(self.delta), set(itertools.chain.from_iterable(self.delta))
         if any(len(row) != len(self.alphabet) for row in self.delta) or not targets <= set(range(n)):
             raise ValidationError("transition table is not total over the state set")
@@ -304,7 +286,7 @@ def compile_ordered(expr, alphabet) -> Dfa:
     more; a minimal DFA is unique up to renumbering and `_canonicalize` fixes
     the numbering, so it depends only on the language, not on how the union
     is split."""
-    symbols = tuple(alphabet.symbols if isinstance(alphabet, Alphabet) else alphabet)
+    symbols = tuple(alphabet)
     validate_expr(expr, symbols)
     return _minimize(_compile(expr, symbols))
 
@@ -540,7 +522,7 @@ def expr_from_json(data: dict):
     if kind == "symbol":
         return Sym(symbol_from_json(data["symbol"]))
     if kind == "star":
-        return Star(tuple(symbol_from_json(s) for s in data["symbols"]))
+        return Star(tuple(symbol_from_json(s) for s in require_list(data["symbols"], "symbols")))
     if kind == "union":
         return Union(tuple(expr_from_json(p) for p in data["parts"]))
     if kind == "concat":
@@ -558,11 +540,13 @@ def dfa_to_json(dfa: Dfa) -> dict:
 
 
 def dfa_from_json(data: dict) -> Dfa:
+    delta = data["delta"]
+    require_ints(itertools.chain.from_iterable(delta), "delta")
     return Dfa(
-        tuple(symbol_from_json(s) for s in data["alphabet"]),
-        data["delta"],
+        tuple(symbol_from_json(s) for s in require_list(data["alphabet"], "alphabet")),
+        delta,
         require_int(data["start"], "start"),
-        set(data["accepting"]),
+        set(require_ints(data["accepting"], "accepting")),
     )
 
 
@@ -577,9 +561,9 @@ def congruence_to_json(spec: CongruenceSpec) -> dict:
 
 def congruence_from_json(data: dict) -> CongruenceSpec:
     group = AbelianGroup(tuple(require_int(n, "orders", 1) for n in data["orders"]))
-    phi = {symbol_from_json(s): tuple(v) for s, v in data["phi"]}
-    target = {tuple(t) for t in data["target"]}
-    alphabet = tuple(symbol_from_json(s) for s in data["alphabet"])
+    phi = {symbol_from_json(s): require_ints(v, "phi") for s, v in data["phi"]}
+    target = {require_ints(t, "target") for t in data["target"]}
+    alphabet = tuple(symbol_from_json(s) for s in require_list(data["alphabet"], "alphabet"))
     return CongruenceSpec(group, phi, target, alphabet)
 
 

@@ -17,7 +17,7 @@ from functools import lru_cache
 from math import factorial
 
 from .cyclotomic import CyclotomicNumber
-from .errors import NoWitnessError, PreconditionError, ValidationError, require_int
+from .errors import NoWitnessError, PreconditionError, ValidationError, require_int, require_list
 from .genfun import FactoredRational, LinearForm, SeriesTruncation
 from .langkit import (
     AbelianGroup,
@@ -77,7 +77,7 @@ class WeightedWord:
     def from_json(cls, data: dict) -> "WeightedWord":
         group = AbelianGroup(tuple(require_int(n, "orders", 1) for n in data["orders"]))
         return cls(
-            tuple(data["letters"]),
+            tuple(require_list(data["letters"], "letters")),
             tuple(tuple(require_int(x, "weights") for x in w) for w in data["weights"]),
             group,
         )
@@ -520,34 +520,21 @@ def principal_ideal_language(
 
 
 # ---------------------------------------------------------------------------
-# lazily determinized recognizers (for exhaustive ideal sweeps)
+# the lazily determinized order test
 
 
-class _Trie:
-    def __init__(self, words):
-        self.children: list[dict] = [{}]
-        self.accepting: list[bool] = [False]
-        for word in words:
-            node = 0
-            for w in word:
-                nxt = self.children[node].get(w)
-                if nxt is None:
-                    nxt = len(self.children)
-                    self.children.append({})
-                    self.accepting.append(False)
-                    self.children[node][w] = nxt
-                node = nxt
-            self.accepting[node] = True
+class UpsetRecognizer:
+    """On-the-fly determinization of the direct order test {y : x <= y}.
 
+    A state is the frozenset of the fiber-sum tuples that partial ordered
+    surjections onto x can reach after the input so far, stepped by
+    `_fiber_steps` as in `leq`: the lazy DFA runs every witness search at
+    once, with no reference to minimal words.  It accepts when one of them
+    is the weight word of x.
+    """
 
-class _LazyDfa:
-    """A subset construction run on demand.  A state is the frozenset of the
-    configurations some run can be in after the input so far; it accepts
-    when one of them does.  Subclasses give `_successors(cfg, symbol)` and
-    `_config_accepts(cfg)`, and set their own fields before calling
-    `__init__`, which interns the start state {()}."""
-
-    def __init__(self):
+    def __init__(self, x: WeightedWord):
+        self.x = x
         self._states: dict[frozenset, int] = {}
         self._configs: list[frozenset] = []
         self._accepting: list[bool] = []
@@ -560,16 +547,15 @@ class _LazyDfa:
             sid = len(self._states)
             self._states[configs] = sid
             self._configs.append(configs)
-            self._accepting.append(any(self._config_accepts(cfg) for cfg in configs))
+            self._accepting.append(self.x.weights in configs)
         return sid
 
     def step(self, state: int, symbol) -> int:
         key = (state, symbol)
         nxt = self._trans.get(key)
         if nxt is None:
-            new = set()
-            for cfg in self._configs[state]:
-                new.update(self._successors(cfg, symbol))
+            a, w = symbol
+            new = {cfg for prev in self._configs[state] for _, cfg in _fiber_steps(self.x, prev, a, w)}
             nxt = self._trans[key] = self._intern(frozenset(new))
         return nxt
 
@@ -578,78 +564,6 @@ class _LazyDfa:
         for symbol in symbols:
             state = self.step(state, symbol)
         return state
-
-
-class IdealRecognizer(_LazyDfa):
-    """On-the-fly determinization of the principal-ideal language of x.
-
-    Semantically identical to compiling principal_ideal_language(x): each
-    accepting run spells some minimal word t over x with the input lying in
-    the star-padded language of t, and the weight-invariant check cuts by the
-    congruence class of x.  Configurations carry one trie node per opened
-    fiber, ranging over the minimal weight words of that fiber.
-    """
-
-    def __init__(self, x: WeightedWord, letters=None):
-        self.x = x
-        self.alphabet = (
-            tuple(letters) if letters is not None else tuple(sorted(set(x.letters), key=repr))
-        )
-        self.theta = theta_vector(x, self.alphabet)
-        self.tries = [_Trie(minimal_fiber_words(x.group, w)) for w in x.weights]
-        super().__init__()
-
-    def _config_accepts(self, cfg: tuple) -> bool:
-        return len(cfg) == len(self.x) and all(
-            self.tries[i].accepting[node] for i, node in enumerate(cfg)
-        )
-
-    def _successors(self, cfg: tuple, symbol) -> list[tuple]:
-        a, w = symbol
-        out = []
-        opened = len(cfg)
-        letters = self.x.letters
-        # explicit position consumed by an open fiber
-        for i in range(opened):
-            if letters[i] == a:
-                child = self.tries[i].children[cfg[i]].get(w)
-                if child is not None:
-                    out.append(cfg[:i] + (child,) + cfg[i + 1 :])
-        # open the next fiber
-        if opened < len(letters) and letters[opened] == a:
-            child = self.tries[opened].children[0].get(w)
-            if child is not None:
-                out.append(cfg + (child,))
-        # star filler: any symbol whose letter already appeared
-        if any(letters[i] == a for i in range(opened)):
-            out.append(cfg)
-        return out
-
-    def accepts(self, y: WeightedWord) -> bool:
-        if y.group != self.x.group:
-            raise ValidationError("word over a different weight group")
-        if not set(y.letters) <= set(self.alphabet):
-            return False
-        return self._accepting[self.run(y.symbols())] and theta_vector(y, self.alphabet) == self.theta
-
-
-class UpsetRecognizer(_LazyDfa):
-    """On-the-fly determinization of the direct order test {y : x <= y}.
-
-    Configurations are the fiber-sum tuples of partial ordered surjections
-    onto x, stepped by `_fiber_steps` as in `leq`: the lazy DFA runs every
-    witness search at once, with no reference to minimal words.
-    """
-
-    def __init__(self, x: WeightedWord):
-        self.x = x
-        super().__init__()
-
-    def _config_accepts(self, cfg: tuple) -> bool:
-        return cfg == self.x.weights
-
-    def _successors(self, cfg: tuple, symbol):
-        return (nxt for _, nxt in _fiber_steps(self.x, cfg, *symbol))
 
     def accepts(self, y: WeightedWord) -> bool:
         return self._accepting[self.run(y.symbols())]

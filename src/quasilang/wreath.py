@@ -252,46 +252,3 @@ def diag_induced_series(table: CharacterTable, i: int) -> FactoredRational:
         weight = table.rows[i][c].conjugate() * Fraction(table.class_sizes[c], order)
         terms.append((form, weight))
     return FactoredRational.geometric_sum(nvars, terms)
-
-
-def decompose_induced(table: CharacterTable, i: int, n: int) -> dict:
-    """Multiplicities of the irreducibles of G^n in Ind along the diagonal of
-    V_i, via Frobenius reciprocity: keys are index tuples (j_1, ..., j_n)."""
-    if n < 1:
-        raise ValidationError("decompose_induced needs n >= 1")
-    nvars = len(table.rows)
-    content_mult: dict = {}
-    out = {}
-    for combo in itertools.product(range(nvars), repeat=n):
-        content = [0] * nvars
-        for j in combo:
-            content[j] += 1
-        key = tuple(content)
-        mult = content_mult.get(key)
-        if mult is None:
-            # the character of V_(j_1) x ... x V_(j_n) restricted to the diagonal
-            tensor = []
-            for c in range(table.n_classes):
-                prod = CyclotomicNumber.one()
-                for j, e in enumerate(key):
-                    if e:
-                        prod = prod * table.rows[j][c] ** e
-                tensor.append(prod)
-            mult = multiplicity(table.class_sizes, table.rows[i], tensor, "induction multiplicity")
-            content_mult[key] = mult
-        if mult:
-            out[combo] = mult
-    return out
-
-
-def induced_monomial_image(table: CharacterTable, i: int, n: int) -> dict:
-    """The degree-n coefficient of the Hilbert series as a polynomial in the
-    irreducible variables: exponent vector -> integer coefficient."""
-    poly: dict = {}
-    for combo, mult in decompose_induced(table, i, n).items():
-        content = [0] * len(table.rows)
-        for j in combo:
-            content[j] += 1
-        key = tuple(content)
-        poly[key] = poly.get(key, 0) + mult
-    return poly

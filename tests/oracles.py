@@ -1,0 +1,185 @@
+"""Reference implementations that tests compare the library against.
+
+Not a test module (pytest does not collect it); test files import it by name.
+
+- `IdealRecognizer` determinizes the principal-ideal language of a weighted
+  word on demand, from the minimal words over it.  Criterion 3 sweeps it
+  against `wordposet.UpsetRecognizer`, which runs the order test instead.
+- `decompose_induced` and `induced_monomial_image` decompose the diagonal
+  induction by Frobenius reciprocity, the oracle for
+  `wreath.diag_induced_series`.
+"""
+
+from __future__ import annotations
+
+import itertools
+
+from quasilang.cyclotomic import CyclotomicNumber
+from quasilang.errors import ValidationError
+from quasilang.grouptheory import CharacterTable, multiplicity
+from quasilang.wordposet import WeightedWord, minimal_fiber_words, theta_vector
+
+# ---------------------------------------------------------------------------
+# the ideal-side recognizer
+
+
+class _Trie:
+    def __init__(self, words):
+        self.children: list[dict] = [{}]
+        self.accepting: list[bool] = [False]
+        for word in words:
+            node = 0
+            for w in word:
+                nxt = self.children[node].get(w)
+                if nxt is None:
+                    nxt = len(self.children)
+                    self.children.append({})
+                    self.accepting.append(False)
+                    self.children[node][w] = nxt
+                node = nxt
+            self.accepting[node] = True
+
+
+class IdealRecognizer:
+    """On-the-fly determinization of the principal-ideal language of x.
+
+    Semantically identical to compiling principal_ideal_language(x): each
+    accepting run spells some minimal word t over x with the input lying in
+    the star-padded language of t, and the weight-invariant check cuts by the
+    congruence class of x.  Configurations carry one trie node per opened
+    fiber, ranging over the minimal weight words of that fiber.  A state is
+    the frozenset of the configurations some run can be in after the input so
+    far; it accepts when one of them does.  The successors of a configuration
+    on a symbol are computed once and cached, since many states share a
+    configuration.
+    """
+
+    def __init__(self, x: WeightedWord, letters=None):
+        self.x = x
+        self.alphabet = (
+            tuple(letters) if letters is not None else tuple(sorted(set(x.letters), key=repr))
+        )
+        self.theta = theta_vector(x, self.alphabet)
+        self.tries = [_Trie(minimal_fiber_words(x.group, w)) for w in x.weights]
+        # the positions of each letter in x, ascending
+        self.positions: dict = {}
+        for i, a in enumerate(x.letters):
+            self.positions.setdefault(a, []).append(i)
+        self._successor_cache: dict[tuple, list[tuple]] = {}
+        self._states: dict[frozenset, int] = {}
+        self._configs: list[frozenset] = []
+        self._accepting: list[bool] = []
+        self._trans: dict[tuple[int, tuple], int] = {}
+        self.start = self._intern(frozenset({()}))
+
+    def _intern(self, configs: frozenset) -> int:
+        sid = self._states.get(configs)
+        if sid is None:
+            sid = len(self._states)
+            self._states[configs] = sid
+            self._configs.append(configs)
+            self._accepting.append(any(self._config_accepts(cfg) for cfg in configs))
+        return sid
+
+    def _config_accepts(self, cfg: tuple) -> bool:
+        return len(cfg) == len(self.x) and all(
+            self.tries[i].accepting[node] for i, node in enumerate(cfg)
+        )
+
+    def _successors(self, cfg: tuple, symbol) -> list[tuple]:
+        key = (cfg, symbol)
+        out = self._successor_cache.get(key)
+        if out is not None:
+            return out
+        a, w = symbol
+        out = []
+        opened = len(cfg)
+        positions = self.positions.get(a, ())
+        for i in positions:
+            if i < opened:
+                # explicit position consumed by an open fiber
+                child = self.tries[i].children[cfg[i]].get(w)
+                if child is not None:
+                    out.append(cfg[:i] + (child,) + cfg[i + 1 :])
+            else:
+                # open the next fiber
+                if i == opened:
+                    child = self.tries[opened].children[0].get(w)
+                    if child is not None:
+                        out.append(cfg + (child,))
+                break
+        # star filler: any symbol whose letter already appeared
+        if positions and positions[0] < opened:
+            out.append(cfg)
+        self._successor_cache[key] = out
+        return out
+
+    def step(self, state: int, symbol) -> int:
+        key = (state, symbol)
+        nxt = self._trans.get(key)
+        if nxt is None:
+            new = set()
+            for cfg in self._configs[state]:
+                new.update(self._successors(cfg, symbol))
+            nxt = self._trans[key] = self._intern(frozenset(new))
+        return nxt
+
+    def run(self, symbols) -> int:
+        state = self.start
+        for symbol in symbols:
+            state = self.step(state, symbol)
+        return state
+
+    def accepts(self, y: WeightedWord) -> bool:
+        if y.group != self.x.group:
+            raise ValidationError("word over a different weight group")
+        if not set(y.letters) <= set(self.alphabet):
+            return False
+        return self._accepting[self.run(y.symbols())] and theta_vector(y, self.alphabet) == self.theta
+
+
+# ---------------------------------------------------------------------------
+# the Frobenius-reciprocity oracle for diagonal inductions
+
+
+def decompose_induced(table: CharacterTable, i: int, n: int) -> dict:
+    """Multiplicities of the irreducibles of G^n in Ind along the diagonal of
+    V_i, via Frobenius reciprocity: keys are index tuples (j_1, ..., j_n)."""
+    if n < 1:
+        raise ValidationError("decompose_induced needs n >= 1")
+    nvars = len(table.rows)
+    content_mult: dict = {}
+    out = {}
+    for combo in itertools.product(range(nvars), repeat=n):
+        content = [0] * nvars
+        for j in combo:
+            content[j] += 1
+        key = tuple(content)
+        mult = content_mult.get(key)
+        if mult is None:
+            # the character of V_(j_1) x ... x V_(j_n) restricted to the diagonal
+            tensor = []
+            for c in range(table.n_classes):
+                prod = CyclotomicNumber.one()
+                for j, e in enumerate(key):
+                    if e:
+                        prod = prod * table.rows[j][c] ** e
+                tensor.append(prod)
+            mult = multiplicity(table.class_sizes, table.rows[i], tensor, "induction multiplicity")
+            content_mult[key] = mult
+        if mult:
+            out[combo] = mult
+    return out
+
+
+def induced_monomial_image(table: CharacterTable, i: int, n: int) -> dict:
+    """The degree-n coefficient of the Hilbert series as a polynomial in the
+    irreducible variables: exponent vector -> integer coefficient."""
+    poly: dict = {}
+    for combo, mult in decompose_induced(table, i, n).items():
+        content = [0] * len(table.rows)
+        for j in combo:
+            content[j] += 1
+        key = tuple(content)
+        poly[key] = poly.get(key, 0) + mult
+    return poly

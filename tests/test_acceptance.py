@@ -15,7 +15,6 @@ from quasilang.genfun import (
     FactoredRational,
     LinearForm,
     congruence_filter,
-    cyclotomic_translate,
     quasi_ordered_genfun,
     series_from_dfa,
 )
@@ -51,7 +50,6 @@ from quasilang.segre import (
     segre_product,
 )
 from quasilang.wordposet import (
-    IdealRecognizer,
     OrderedSurjection,
     UpsetRecognizer,
     WeightedWord,
@@ -64,6 +62,8 @@ from quasilang.wordposet import (
 )
 from quasilang import wreath
 from quasilang.grouptheory import abelian_table
+
+from oracles import IdealRecognizer, induced_monomial_image
 
 Z2 = AbelianGroup((2,))
 Z3 = AbelianGroup((3,))
@@ -152,7 +152,7 @@ def test_criterion_2_congruence_filter():
         (FactoredRational.one(2) + FactoredRational.monomial(2, 0)) * geom(1),
         geom(0) * geom(1),
         FactoredRational.constant(2, Fraction(1, 2)) * geom(0, 0),
-        cyclotomic_translate(geom(0, 1), (1, 0), 2),
+        geom(0, 1).translate((1, 0), 2),
     ]
     configs = [
         (Z2, [(1,), (0,)], [(0,)]),
@@ -394,7 +394,7 @@ def test_criterion_5_fws_series():
     assert closed is not None and closed.expand((5,)) == series
 
     base = FactoredRational.geometric(2, LinearForm({0: one, 1: one}))
-    flip = cyclotomic_translate(base, (0, 1), 2)
+    flip = base.translate((0, 1), 2)
 
     series1, closed1 = fws_principal_series([(1,)], Z2, 5)
     target1 = base.scale(Fraction(1, 2)) + flip.scale(Fraction(-1, 2))
@@ -422,7 +422,7 @@ def test_criterion_6_diagonal_induction():
             F = wreath.diag_induced_series(table, i)
             series = F.expand((4,) * nvars)
             for n in range(1, 5):
-                image = wreath.induced_monomial_image(table, i, n)
+                image = induced_monomial_image(table, i, n)
                 for e in itertools.product(range(5), repeat=nvars):
                     if sum(e) == n:
                         assert series.coefficient(e) == image.get(e, 0)

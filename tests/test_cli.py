@@ -469,6 +469,77 @@ def test_integer_fields_are_not_coerced():
         assert run(req)["status"] == "ok", req
 
 
+def test_rational_entries_are_checked():
+    """Factor variables lie in range(nvars) and numerator exponents are ints
+    of at least 0; before, these escaped as IndexError or answered wrongly."""
+    one = [1, ["1"]]
+    expand = {"cmd": "genfun.expand", "degree": 3}
+
+    def rational(nvars, numerator, factors):
+        return dict(expand, rational={"nvars": nvars, "order": 1, "numerator": numerator, "factors": factors})
+
+    cases = [
+        (rational(2, [[[0, 0], one]], [[[2, one]]]), "factors: variable 2 is out of range for nvars 2"),
+        (rational(2, [[[0, 0], one]], [[[True, one]]]), "factors must be an integer, got True"),
+        (rational(1, [[[0], one]], [[[-1, one]]]), "factors must be at least 0, got -1"),
+        (rational(1, [[[0.0], one]], [[[0, one]]]), "numerator must be an integer, got 0.0"),
+        (rational(1, [[[-1], one]], [[[0, one]]]), "numerator must be at least 0, got -1"),
+    ]
+    for req, expected in cases:
+        assert run(req) == {"status": "error", "diagnostics": ["ValidationError: " + expected]}, req
+    # 1/(1 - t) to degree 3
+    ok = run(rational(1, [[[0], one]], [[[0, one]]]))
+    assert ok["status"] == "ok"
+    assert ok["result"]["coefficients"] == [[[n], one] for n in range(4)]
+
+
+def test_dfa_and_congruence_entries_are_checked():
+    dfa = run({"cmd": "lang.compile", "expr": {"kind": "star", "symbols": ["a"]}, "alphabet": ["a", "b"]})["result"]
+    spec = {"orders": [2], "alphabet": ["a", "b"], "phi": [["a", [1]], ["b", [0]]], "target": [[0]]}
+    member = {"cmd": "lang.member", "dfa": dfa, "word": ["a"]}
+    congruence = {"cmd": "lang.compile", "congruence": spec}
+    cases = [
+        (dict(member, dfa=dict(dfa, delta=[[0, True], [1, 1]])), "delta must be an integer, got True"),
+        (dict(member, dfa=dict(dfa, delta=[[0, 1], [1.0, 1]])), "delta must be an integer, got 1.0"),
+        (dict(member, dfa=dict(dfa, accepting=[1.0])), "accepting must be an integer, got 1.0"),
+        (dict(member, dfa=dict(dfa, accepting=[False])), "accepting must be an integer, got False"),
+        (dict(congruence, congruence=dict(spec, phi=[["a", [1.0]], ["b", [0]]])), "phi must be an integer, got 1.0"),
+        (dict(congruence, congruence=dict(spec, target=[[True]])), "target must be an integer, got True"),
+    ]
+    for req, expected in cases:
+        assert run(req) == {"status": "error", "diagnostics": ["ValidationError: " + expected]}, req
+    assert run(member) == {"status": "ok", "result": True}
+    assert run(congruence)["status"] == "ok"
+
+
+def test_lists_sent_as_strings_are_rejected():
+    """A string in a list field is not read as its characters."""
+    star = {"kind": "star", "symbols": ["a", "b"]}
+    dfa = run({"cmd": "lang.compile", "expr": star, "alphabet": ["a", "b"]})["result"]
+    x = {"letters": ["a"], "weights": [[1]], "orders": [2]}
+    y = {"letters": ["a", "a"], "weights": [[0], [1]], "orders": [2]}
+    spec = {"orders": [2], "alphabet": ["a", "b"], "phi": [["a", [1]], ["b", [0]]], "target": [[0]]}
+    cases = [
+        ({"cmd": "lang.member", "dfa": dfa, "word": "aa"}, "word must be a list, got str"),
+        ({"cmd": "poset.ideal", "x": x, "letters": "ab"}, "letters must be a list, got str"),
+        ({"cmd": "poset.leq", "x": x, "y": dict(y, letters="aa")}, "letters must be a list, got str"),
+        ({"cmd": "lang.compile", "expr": star, "alphabet": "ab"}, "alphabet must be a list, got str"),
+        ({"cmd": "lang.compile", "expr": dict(star, symbols="ab"), "alphabet": ["a", "b"]},
+         "symbols must be a list, got str"),
+        ({"cmd": "genfun.closed", "expr": star, "alphabet": "ab"}, "alphabet must be a list, got str"),
+        ({"cmd": "lang.member", "dfa": dict(dfa, alphabet="ab"), "word": []}, "alphabet must be a list, got str"),
+        ({"cmd": "lang.compile", "congruence": dict(spec, alphabet="ab")}, "alphabet must be a list, got str"),
+    ]
+    for req, expected in cases:
+        assert run(req) == {"status": "error", "diagnostics": ["ValidationError: " + expected]}, req
+    for req in ({"cmd": "lang.member", "dfa": dfa, "word": ["a", "a"]},
+                {"cmd": "poset.ideal", "x": x, "letters": ["a", "b"]},
+                {"cmd": "poset.leq", "x": x, "y": y},
+                {"cmd": "genfun.closed", "expr": star, "alphabet": ["a", "b"]},
+                {"cmd": "lang.compile", "congruence": spec}):
+        assert run(req)["status"] == "ok", req
+
+
 def test_wreath_hilbert_series_box_is_budgeted():
     # Z/12 has 12 irreducibles, so degree 2 spans 3^12 = 531,441 exponents
     start = time.monotonic()

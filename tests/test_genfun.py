@@ -14,7 +14,6 @@ from quasilang.genfun import (
     SeriesTruncation,
     certify_unambiguous,
     congruence_filter,
-    cyclotomic_translate,
     ordered_genfun,
     quasi_ordered_genfun,
     series_from_dfa,
@@ -176,16 +175,16 @@ def test_certificate_accepts_unambiguous():
 
 def test_translate_examples():
     F = geom(1, 0)  # 1/(1-t)
-    G = cyclotomic_translate(F, (1,), 2)  # t -> -t
+    G = F.translate((1,), 2)  # t -> -t
     assert [G.expand((5,)).coefficient((n,)) == (-1) ** n for n in range(6)]
     for n in range(6):
         assert G.expand((5,)).coefficient((n,)) == (-1) ** n
 
-    same = cyclotomic_translate(F, (0,), 2)
+    same = F.translate((0,), 2)
     assert same.expand((6,)) == F.expand((6,))
 
     H = FactoredRational.monomial(2, 0) * geom(2, 0, 1)  # t/(1-t-u)
-    HT = cyclotomic_translate(H, (1, 0), 2)  # t -> -t, u -> u
+    HT = H.translate((1, 0), 2)  # t -> -t, u -> u
     exp = HT.expand((4, 4))
     for e, c in H.expand((4, 4)).coefficients.items():
         assert exp.coefficient(e) == c * (-1) ** e[0]
@@ -194,7 +193,7 @@ def test_translate_examples():
 def test_translate_law_random_exponents():
     F = (FactoredRational.one(2) + FactoredRational.monomial(2, 1)) * geom(2, 0) * geom(2, 0, 1)
     for exps, order in [((1, 2), 3), ((2, 3), 4), ((0, 1), 6)]:
-        G = cyclotomic_translate(F, exps, order)
+        G = F.translate(exps, order)
         se, sf = G.expand((6, 6)), F.expand((6, 6))
         for e in itertools.product(range(7), repeat=2):
             mult = CyclotomicNumber.root(order, sum(k * n for k, n in zip(exps, e)))
@@ -271,7 +270,7 @@ def test_expand_rational_examples():
     assert [s.coefficient((n,)).rational_value() for n in range(4)] == [1, 1, 1, 1]
 
     half = FactoredRational.constant(2, Fraction(1, 2))
-    mixed = half * geom(2, 0, 1) + half * cyclotomic_translate(geom(2, 0, 1), (1, 0), 2)
+    mixed = half * geom(2, 0, 1) + half * geom(2, 0, 1).translate((1, 0), 2)
     assert mixed.expand((4, 4)).coefficient((2, 1)) == 3
 
 

@@ -4,10 +4,10 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from quasilang.cli import execute_request
 from quasilang.errors import ValidationError
 from quasilang.langkit import (
     AbelianGroup,
-    Alphabet,
     Concat,
     CongruenceSpec,
     Dfa,
@@ -21,6 +21,7 @@ from quasilang.langkit import (
     compile_congruence,
     compile_ordered,
     compile_quasi_ordered,
+    dfa_from_json,
     dfa_to_json,
     enumerate_by_norm,
     intersect_dfa,
@@ -341,9 +342,16 @@ def test_empty_alphabet_is_legal():
 
 
 def test_alphabet_validation():
-    with pytest.raises(ValidationError):
-        Alphabet(("a", "a"))
-    assert Alphabet(AB).norm().is_universal
+    # every automaton checks that its symbols are distinct
+    with pytest.raises(ValidationError, match="alphabet symbols must be distinct"):
+        compile_ordered(Star(()), ("a", "a"))
+    payload = {"alphabet": ["a", "a"], "delta": [[0, 0]], "start": 0, "accepting": [0]}
+    with pytest.raises(ValidationError, match="alphabet symbols must be distinct"):
+        dfa_from_json(payload)
+    # compiled over a repeated symbol, "a" alone was counted as 2 words of norm (0, 1)
+    resp = execute_request({"cmd": "lang.compile", "expr": {"kind": "symbol", "symbol": "a"}, "alphabet": ["a", "a"]})
+    assert resp == {"status": "error", "diagnostics": ["ValidationError: alphabet symbols must be distinct"]}
+    assert Norm.universal(AB).is_universal
 
 
 def test_canonical_numbering_is_deterministic():

@@ -22,7 +22,7 @@ import time
 import pytest
 
 from quasilang.errors import AmbiguousExpressionError
-from quasilang.genfun import FactoredRational, quasi_ordered_genfun
+from quasilang.genfun import FactoredRational, LinearForm, quasi_ordered_genfun
 from quasilang.langkit import AbelianGroup, Norm
 from quasilang.wordposet import (
     OrderedSurjection,
@@ -43,6 +43,27 @@ Z2Z2 = AbelianGroup((2, 2))
 # the ordering-loop reference
 
 
+def rename_variables(F: FactoredRational, mapping, nvars: int) -> FactoredRational:
+    """F under t_i <- t_mapping[i], a variable-to-variable ring map into nvars
+    variables."""
+
+    def merged(terms) -> dict:
+        out: dict = {}
+        for key, c in terms:
+            out[key] = out[key] + c if key in out else c
+        return out
+
+    def renamed(e) -> tuple:
+        new_e = [0] * nvars
+        for v, k in enumerate(e):
+            new_e[mapping[v]] += k
+        return tuple(new_e)
+
+    num = merged((renamed(e), c) for e, c in F.numerator.items())
+    factors = [LinearForm(merged((mapping[v], c) for v, c in f.terms)) for f in F.factors]
+    return FactoredRational(nvars, F.order, num, factors)
+
+
 def ordering_loop_closed(weights, group: AbelianGroup):
     """Sum of the ideal-language forms over all orderings; None if one is ambiguous."""
     elements = group.elements()
@@ -54,7 +75,7 @@ def ordering_loop_closed(weights, group: AbelianGroup):
             q = principal_ideal_language(x0, letters=tuple(range(len(ordering))), reduced_stars=True)
             F = quasi_ordered_genfun(q, Norm.universal(q.cong.alphabet))
             mapping = [elements.index(w) for (_, w) in q.cong.alphabet]
-            closed = closed + F.rename_variables(mapping, nvars)
+            closed = closed + rename_variables(F, mapping, nvars)
     except AmbiguousExpressionError:
         return None
     return closed

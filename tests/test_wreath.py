@@ -4,14 +4,10 @@ from fractions import Fraction
 import pytest
 
 from quasilang.cyclotomic import CyclotomicNumber
-from quasilang.genfun import FactoredRational, LinearForm, cyclotomic_translate
+from quasilang.genfun import FactoredRational, LinearForm
 from quasilang.grouptheory import FiniteGroup, character_table, symmetric_table
 from quasilang.wreath import (
-    ClassFunction,
-    decompose_induced,
     diag_induced_series,
-    identity_label,
-    induced_monomial_image,
     pad_label,
     tensor_stability_table,
     wreath_classes,
@@ -20,6 +16,8 @@ from quasilang.wreath import (
     wreath_irreducible_character,
     wreath_labels,
 )
+
+from oracles import decompose_induced, induced_monomial_image
 
 Z2 = character_table(FiniteGroup.cyclic(2))
 Z3 = character_table(FiniteGroup.cyclic(3))
