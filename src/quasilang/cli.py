@@ -38,6 +38,7 @@ from .langkit import (
     quasi_from_json,
     quasi_to_json,
     symbol_from_json,
+    symbol_map_from_json,
     symbol_to_json,
 )
 from .wordposet import WeightedWord, principal_ideal_language
@@ -48,7 +49,7 @@ def _norm_from_json(data, alphabet) -> Norm:
         return Norm.universal(alphabet)
     if data == {"length": True}:
         return Norm.length(alphabet)
-    mapping = {symbol_from_json(s): require_int(i, "pairs") for s, i in data["pairs"]}
+    mapping = {s: require_int(i, "pairs") for s, i in symbol_map_from_json(data["pairs"], "pairs").items()}
     return Norm(mapping, _at_least(data, "size", 0))
 
 

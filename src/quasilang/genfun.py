@@ -12,10 +12,13 @@ from __future__ import annotations
 import itertools
 from collections import Counter
 from fractions import Fraction
-from math import lcm, prod
+from math import gcd, lcm, prod
+from operator import add, le, mul
 
 from .cyclotomic import (
     CyclotomicNumber,
+    _field,
+    _make,
     cyclotomic_from_json,
     cyclotomic_to_json,
 )
@@ -36,31 +39,111 @@ from .langkit import (
 )
 
 # ---------------------------------------------------------------------------
-# polynomial helpers: dicts exponent-tuple -> CyclotomicNumber
+# the integer polynomial kernel
+#
+# A numerator over Q(zeta_N) is a list of phi(N) dicts, one per power-basis
+# coordinate, each mapping exponents to the integer numerators of that
+# coordinate, over one positive common denominator kept beside it.
+# Multiplication by a field element c is a tuple of entries (k, j, m):
+# coordinate k of the product gains m times coordinate j of the other
+# factor.  Products by linear factors pack each exponent e into the int
+# sum_v e_v units[v], its digits in a radix above every coordinate that
+# occurs, so that a shift by t_v is one addition.
 
 
-def _pstrip(p: dict) -> dict:
-    return {e: c for e, c in p.items() if not c.is_zero()}
+def _entries(c: CyclotomicNumber, scale: int, rows) -> tuple:
+    """The entries of multiplication by scale * c, an integral element; c
+    is at the order of `rows` and its denominator divides scale."""
+    a = [x * (scale // c._den) for x in c._num]
+    d = len(a)
+    out = []
+    for j in range(d):
+        col = [0] * d
+        for i, x in enumerate(a):
+            if x:
+                for k, r in rows[i + j]:
+                    col[k] += x * r
+        out.extend((k, j, m) for k, m in enumerate(col) if m)
+    return tuple(out)
 
 
-def _padd(p: dict, q: dict) -> dict:
-    out = dict(p)
-    for e, c in q.items():
-        out[e] = out[e] + c if e in out else c
-    return _pstrip(out)
+def _form_steps(form: "LinearForm", order: int, rows, units) -> tuple[int, list]:
+    """(L, steps) with L the lcm of the denominators of the form's
+    coefficients c_v and steps the pairs (units[v], entries of L c_v)."""
+    terms = [(v, c.lift(order)) for v, c in form.terms]
+    scale = lcm(*(c._den for _, c in terms))
+    return scale, [(units[v], _entries(c, scale, rows)) for v, c in terms]
 
 
-def _pscale(p: dict, c) -> dict:
-    return _pstrip({e: v * c for e, v in p.items()})
+def _nonzero(p: list[dict]) -> list[dict]:
+    return [{e: x for e, x in col.items() if x} for col in p]
 
 
-def _pmul(p: dict, q: dict) -> dict:
-    out: dict = {}
-    for e1, c1 in p.items():
-        for e2, c2 in q.items():
-            e = tuple(a + b for a, b in zip(e1, e2))
-            out[e] = out[e] + c1 * c2 if e in out else c1 * c2
-    return _pstrip(out)
+def _one(d: int, e) -> list[dict]:
+    """The monomial t^e in d coordinates."""
+    return [{e: 1}] + [{} for _ in range(d - 1)]
+
+
+def _times(p: list[dict], entries, d: int) -> list[dict]:
+    """p times the field element of `entries`, in d coordinates."""
+    out = [{} for _ in range(d)]
+    for k, j, m in entries:
+        dst = out[k]
+        for e, x in p[j].items():
+            dst[e] = dst.get(e, 0) + m * x
+    return out
+
+
+def _lifted(p: list[dict], source: int, order: int, rows) -> list[dict]:
+    """p, at order source, in the field of `rows`, of the multiple `order`."""
+    if source == order:
+        return p
+    step = order // source
+    entries = [(k, i, r) for i in range(len(p)) for k, r in rows[i * step]]
+    return _times(p, entries, _field(order)[0])
+
+
+def _times_factor(p: list[dict], scale: int, steps) -> list[dict]:
+    """p * (scale - sum_v a_v t_v) on packed exponents, for the steps
+    (packed t_v, entries of a_v) of `_form_steps`."""
+    out = [{e: scale * x for e, x in col.items()} for col in p]
+    for unit, entries in steps:
+        for k, j, m in entries:
+            dst = out[k]
+            for e, x in p[j].items():
+                e += unit
+                dst[e] = dst.get(e, 0) - m * x
+    return _nonzero(out)
+
+
+def _sum(p: list[dict], p_den: int, q: list[dict], q_den: int) -> tuple[list[dict], int]:
+    """p / p_den + q / q_den over the lcm of the two denominators."""
+    den = lcm(p_den, q_den)
+    a, b = den // p_den, den // q_den
+    out = [{e: a * x for e, x in col.items()} for col in p]
+    for dst, col in zip(out, q):
+        for e, x in col.items():
+            dst[e] = dst.get(e, 0) + b * x
+    return _nonzero(out), den
+
+
+def _units(radix: int, nvars: int) -> list[int]:
+    return [radix ** (nvars - 1 - v) for v in range(nvars)]
+
+
+def _pack(p: list[dict], units) -> list[dict]:
+    return [{sum(map(mul, e, units)): x for e, x in col.items()} for col in p]
+
+
+def _unpack(p: list[dict], units) -> list[dict]:
+    exponents = {}
+    for key in set().union(*p):
+        e, rest = [], key
+        for unit in units:
+            x, rest = divmod(rest, unit)
+            e.append(x)
+        exponents[key] = tuple(e)
+    return [{exponents[key]: x for key, x in col.items()} for col in p]
 
 
 class LinearForm:
@@ -85,36 +168,39 @@ class LinearForm:
     def scaled_vars(self, scale: dict[int, CyclotomicNumber]) -> "LinearForm":
         return LinearForm({v: (c * scale[v] if v in scale else c) for v, c in self.terms})
 
-    def as_poly(self, nvars: int) -> dict:
-        def unit(v):
-            e = [0] * nvars
-            e[v] = 1
-            return tuple(e)
-
-        return {unit(v): c for v, c in self.terms}
-
     def __repr__(self) -> str:
         return " + ".join(f"({c!r})*t{v}" for v, c in self.terms) or "0"
 
 
 class FactoredRational:
-    """numerator / prod_k (1 - lambda_k) with everything over Q(zeta_order).
+    """num / (den * prod_k (1 - lambda_k)) with everything over Q(zeta_order).
 
-    The "1 -" of each denominator factor is implicit: `factors` stores the
-    linear forms lambda_k themselves, which never have a constant term.
+    `num` holds one dict per power-basis coordinate of Q(zeta_order), from
+    exponent tuples to integer numerators over the one positive common
+    denominator `den`; the pair is in lowest terms and stores no zero.  The
+    "1 -" of each denominator factor is implicit: `factors` stores the
+    linear forms lambda_k themselves, lifted to the order and sorted by their
+    key, which never have a constant term.  CyclotomicNumbers appear only at
+    the edges: the JSON forms and the coefficients that `expand` returns.
     """
 
-    __slots__ = ("nvars", "order", "numerator", "factors")
+    __slots__ = ("nvars", "order", "num", "den", "factors")
 
-    def __init__(self, nvars: int, order: int, numerator: dict, factors=()):
+    def __init__(self, nvars: int, order: int, num: list[dict], den: int = 1, factors=()):
+        num = _nonzero(num)
+        for col in num:
+            for e in col:
+                if len(e) != nvars:
+                    raise ValidationError(f"exponent {e} does not have {nvars} coordinates")
+        if den != 1:
+            g = gcd(den, *itertools.chain.from_iterable(col.values() for col in num))
+            if g != 1:
+                num = [{e: x // g for e, x in col.items()} for col in num]
+                den //= g
         self.nvars = nvars
         self.order = order
-        self.numerator = {
-            e: c.lift(order) for e, c in numerator.items() if not c.is_zero()
-        }
-        for e in self.numerator:
-            if len(e) != nvars:
-                raise ValidationError(f"exponent {e} does not have {nvars} coordinates")
+        self.num = num
+        self.den = den
         self.factors = tuple(
             sorted((f.lift(order) for f in factors), key=lambda f: f.key(order))
         )
@@ -123,12 +209,12 @@ class FactoredRational:
 
     @classmethod
     def zero(cls, nvars: int) -> "FactoredRational":
-        return cls(nvars, 1, {})
+        return cls(nvars, 1, [{}])
 
     @classmethod
     def constant(cls, nvars: int, value) -> "FactoredRational":
         c = value if isinstance(value, CyclotomicNumber) else CyclotomicNumber.from_rational(value)
-        return cls(nvars, c.order, {(0,) * nvars: c})
+        return cls(nvars, c.order, [{(0,) * nvars: x} for x in c._num], c._den)
 
     @classmethod
     def one(cls, nvars: int) -> "FactoredRational":
@@ -138,15 +224,13 @@ class FactoredRational:
     def monomial(cls, nvars: int, var: int) -> "FactoredRational":
         e = [0] * nvars
         e[var] = 1
-        return cls(nvars, 1, {tuple(e): CyclotomicNumber.one()})
+        return cls(nvars, 1, [{tuple(e): 1}])
 
     @classmethod
     def geometric(cls, nvars: int, form: LinearForm) -> "FactoredRational":
         """1 / (1 - form)."""
-        order = 1
-        for _, c in form.terms:
-            order = lcm(order, c.order)
-        return cls(nvars, order, {(0,) * nvars: CyclotomicNumber.one(order)}, (form,))
+        order = lcm(*(c.order for _, c in form.terms))
+        return cls(nvars, order, _one(_field(order)[0], (0,) * nvars), 1, (form,))
 
     @classmethod
     def geometric_sum(cls, nvars: int, terms) -> "FactoredRational":
@@ -156,24 +240,27 @@ class FactoredRational:
         form, so the forms should be distinct.  The numerator is built in one
         pass, N <- N (1 - form_j) + c_j P and P <- P (1 - form_j), which costs
         two products by a linear polynomial per term where pairwise `+`
-        rebuilds P each time.
+        rebuilds P each time.  N and P never reach degree len(terms) + 1 in
+        a variable, which is the radix of their packed exponents.
         """
         order = 1
         for form, c in terms:
             order = lcm(order, c.order, *(v.order for _, v in form.terms))
-        one = {(0,) * nvars: CyclotomicNumber.one(order)}
-        num: dict = {}
-        den = one
+        d, rows = _field(order)
+        units = _units(len(terms) + 1, nvars)
+        num, num_den = [{} for _ in range(d)], 1
+        den, den_den = _one(d, 0), 1
         factors = []
         for form, c in terms:
-            if not form.terms:
-                num = _padd(num, _pscale(den, c))
-                continue
-            factor = _padd(one, _pscale(form.as_poly(nvars), -1))
-            num = _padd(_pmul(num, factor), _pscale(den, c))
-            den = _pmul(den, factor)
-            factors.append(form)
-        return cls(nvars, order, num, factors)
+            c = c.lift(order)
+            term, term_den = _times(den, _entries(c, c._den, rows), d), den_den * c._den
+            if form.terms:
+                scale, steps = _form_steps(form, order, rows, units)
+                num, num_den = _times_factor(num, scale, steps), num_den * scale
+                den, den_den = _times_factor(den, scale, steps), den_den * scale
+                factors.append(form)
+            num, num_den = _sum(num, num_den, term, term_den)
+        return cls(nvars, order, _unpack(num, units), num_den, factors)
 
     # -- arithmetic ----------------------------------------------------------
 
@@ -184,55 +271,69 @@ class FactoredRational:
     def __add__(self, other: "FactoredRational") -> "FactoredRational":
         self._check(other)
         order = lcm(self.order, other.order)
-        # multiset cancellation of syntactically identical linear factors
-        ca = Counter(f.key(order) for f in self.factors)
-        cb = Counter(f.key(order) for f in other.factors)
+        rows = _field(order)[1]
+        # multiset cancellation of syntactically identical linear factors; at
+        # one order the integer coordinates identify a coefficient
+        forms = {}
+
+        def ident(f: LinearForm) -> tuple:
+            f = f.lift(order)
+            key = tuple((v, c._num, c._den) for v, c in f.terms)
+            forms.setdefault(key, f)
+            return key
+
+        ca = Counter(map(ident, self.factors))
+        cb = Counter(map(ident, other.factors))
         common = ca & cb
         extra_a = ca - common
         extra_b = cb - common
-        forms = {}
-        for f in itertools.chain(self.factors, other.factors):
-            forms.setdefault(f.key(order), f.lift(order))
+        top = max(itertools.chain.from_iterable(set().union(*self.num, *other.num)), default=0)
+        units = _units(top + max(extra_a.total(), extra_b.total()) + 1, self.nvars)
 
-        def poly_of(counter) -> dict:
-            p = {(0,) * self.nvars: CyclotomicNumber.one(order)}
-            for key, mult in counter.items():
-                factor_poly = _padd(
-                    {(0,) * self.nvars: CyclotomicNumber.one(order)},
-                    _pscale(forms[key].as_poly(self.nvars), -1),
-                )
+        def times_extra(F: "FactoredRational", extra: Counter) -> tuple[list[dict], int]:
+            p, den = _pack(_lifted(F.num, F.order, order, rows), units), F.den
+            for key, mult in extra.items():
+                scale, steps = _form_steps(forms[key], order, rows, units)
                 for _ in range(mult):
-                    p = _pmul(p, factor_poly)
-            return p
+                    p, den = _times_factor(p, scale, steps), den * scale
+            return p, den
 
-        num = _padd(
-            _pmul(self.numerator, poly_of(extra_b)),
-            _pmul(other.numerator, poly_of(extra_a)),
-        )
+        num, den = _sum(*times_extra(self, extra_b), *times_extra(other, extra_a))
         all_factors = list(common.elements()) + list(extra_a.elements()) + list(extra_b.elements())
-        return FactoredRational(self.nvars, order, num, tuple(forms[k] for k in all_factors))
+        return FactoredRational(
+            self.nvars, order, _unpack(num, units), den, tuple(forms[k] for k in all_factors)
+        )
 
     def __mul__(self, other: "FactoredRational") -> "FactoredRational":
         self._check(other)
         order = lcm(self.order, other.order)
-        return FactoredRational(
-            self.nvars,
-            order,
-            _pmul(self.numerator, other.numerator),
-            self.factors + other.factors,
-        )
+        d, rows = _field(order)
+        b = _lifted(other.num, other.order, order, rows)
+        num = [{} for _ in range(d)]
+        for i, a_col in enumerate(_lifted(self.num, self.order, order, rows)):
+            for j, b_col in enumerate(b):
+                for k, r in rows[i + j]:
+                    dst = num[k]
+                    for e1, x in a_col.items():
+                        for e2, y in b_col.items():
+                            e = tuple(map(add, e1, e2))
+                            dst[e] = dst.get(e, 0) + r * x * y
+        return FactoredRational(self.nvars, order, num, self.den * other.den, self.factors + other.factors)
 
     def scale(self, c) -> "FactoredRational":
         if not isinstance(c, CyclotomicNumber):
             c = CyclotomicNumber.from_rational(c)
         order = lcm(self.order, c.order)
-        return FactoredRational(self.nvars, order, _pscale(self.numerator, c), self.factors)
+        d, rows = _field(order)
+        c = c.lift(order)
+        num = _times(_lifted(self.num, self.order, order, rows), _entries(c, c._den, rows), d)
+        return FactoredRational(self.nvars, order, num, self.den * c._den, self.factors)
 
     def __neg__(self) -> "FactoredRational":
         return self.scale(-1)
 
     def is_zero(self) -> bool:
-        return not self.numerator
+        return not any(self.num)
 
     def is_integral_denominator(self) -> bool:
         """K_N shape check: all denominator linear forms lie in Z[zeta_N]."""
@@ -247,56 +348,93 @@ class FactoredRational:
             raise ValidationError("need one root-of-unity exponent per variable")
         ro = root_order or self.order
         order = lcm(self.order, ro)
+        d, rows = _field(order)
+        # coordinate i of the coefficient of t^e is x^(i step) times
+        # zeta_ro^(k.e) = x^(unit k.e) in Q(zeta_order)
+        step, unit = order // self.order, order // ro
+        num = [{} for _ in range(d)]
+        for i, col in enumerate(self.num):
+            for e, x in col.items():
+                for k, r in rows[(i * step + unit * sum(map(mul, exponents, e))) % order]:
+                    num[k][e] = num[k].get(e, 0) + r * x
         scale = {i: CyclotomicNumber.root(ro, k).lift(order) for i, k in enumerate(exponents)}
-        num = {}
-        for e, c in self.numerator.items():
-            mult = CyclotomicNumber.root(ro, sum(k * n for k, n in zip(exponents, e)))
-            num[e] = c * mult
         factors = tuple(f.lift(order).scaled_vars(scale) for f in self.factors)
-        return FactoredRational(self.nvars, order, num, factors)
+        return FactoredRational(self.nvars, order, num, self.den, factors)
 
     # -- expansion ------------------------------------------------------------
 
     def expand(self, bound) -> "SeriesTruncation":
+        """The coefficients of the exponents <= bound.
+
+        An exponent is kept as its index in the box, with the strides and
+        the box test of `series_from_dfa`, and each power-basis coordinate
+        as one int list over the box.  With L the lcm of the denominators
+        of the factor coefficients, entry e holds L^|e| times the
+        coefficient, so dividing by 1 - sum_v c_v t_v is the integer
+        recursion U[e] += sum_v (L c_v) U[e - t_v] in index order.  Each
+        coefficient is divided by den L^|e| once, at the end.
+        """
         if isinstance(bound, int):
             bound = (bound,) * self.nvars
         bound = tuple(bound)
         if len(bound) != self.nvars:
             raise ValidationError("bound must have one coordinate per variable")
-        poly = {e: c for e, c in self.numerator.items() if all(x <= b for x, b in zip(e, bound))}
-        exponents = sorted(
-            itertools.product(*(range(b + 1) for b in bound)), key=lambda e: (sum(e), e)
-        )
+        if min(bound, default=0) < 0:
+            return SeriesTruncation(self.order, bound, {})
+        order = self.order
+        rows = _field(order)[1]
+        strides = [prod(b + 1 for b in bound[i + 1 :]) for i in range(len(bound))]
+        size = prod(b + 1 for b in bound)
+        scale = lcm(*(c._den for f in self.factors for _, c in f.terms))
+        powers = [scale**n for n in range(sum(bound) + 1)]
+        cols = []
+        for col in self.num:
+            out = [0] * size
+            for e, x in col.items():
+                if all(map(le, e, bound)):
+                    out[sum(map(mul, e, strides))] = powers[sum(e)] * x
+            cols.append(out)
+        boxes = [(s, s * (b + 1), s * b) for s, b in zip(strides, bound)]
         for f in self.factors:
-            # U = poly / (1 - lam) via U[e] = poly[e] + sum_v c_v U[e - e_v],
-            # filled in graded order
-            terms = f.terms
-            new: dict = {}
-            for e in exponents:
-                acc = poly.get(e)
-                for v, c in terms:
-                    if e[v]:
-                        prev = new.get(e[:v] + (e[v] - 1,) + e[v + 1 :])
-                        if prev is not None:
-                            contrib = prev * c
-                            acc = contrib if acc is None else acc + contrib
-                if acc is not None and not acc.is_zero():
-                    new[e] = acc
-            poly = new
-        return SeriesTruncation(self.order, bound, poly)
+            steps = [
+                (*boxes[v], tuple((cols[k], cols[j], m) for k, j, m in _entries(c, scale, rows)))
+                for v, c in f.terms
+                if bound[v]
+            ]
+            for i in range(size):
+                for stride, period, limit, entries in steps:
+                    if i % period < limit:
+                        t = i + stride
+                        for dst, src, m in entries:
+                            x = src[i]
+                            if x:
+                                dst[t] += m * x
+        coeffs = {}
+        for e, vec in zip(itertools.product(*(range(b + 1) for b in bound)), zip(*cols)):
+            if any(vec):
+                s = self.den * powers[sum(e)]
+                if order == 1 and vec[0] % s == 0:
+                    coeffs[e] = vec[0] // s
+                else:
+                    coeffs[e] = _make(order, vec, s)
+        return SeriesTruncation(order, bound, coeffs)
 
     def __repr__(self) -> str:
-        return f"FactoredRational(order={self.order}, num={len(self.numerator)} terms, {len(self.factors)} factors)"
+        return (
+            f"FactoredRational(order={self.order}, num={len(set().union(*self.num))} terms, "
+            f"{len(self.factors)} factors)"
+        )
 
     # -- serialization ---------------------------------------------------------
 
     def to_json(self) -> dict:
+        order, num, den = self.order, self.num, self.den
         return {
             "nvars": self.nvars,
-            "order": self.order,
+            "order": order,
             "numerator": [
-                [list(e), cyclotomic_to_json(c)]
-                for e, c in sorted(self.numerator.items())
+                [list(e), cyclotomic_to_json(_make(order, [col.get(e, 0) for col in num], den))]
+                for e in sorted(set().union(*num))
             ],
             "factors": [
                 [[v, cyclotomic_to_json(c)] for v, c in f.terms] for f in self.factors
@@ -306,16 +444,30 @@ class FactoredRational:
     @classmethod
     def from_json(cls, data: dict) -> "FactoredRational":
         nvars = require_int(data["nvars"], "nvars", 0)
-        num = {require_ints(e, "numerator", 0): cyclotomic_from_json(c) for e, c in data["numerator"]}
+        numerator = {}
+        for e, c in data["numerator"]:
+            e = require_ints(e, "numerator", 0)
+            if e in numerator:
+                raise ValidationError(f"numerator: exponent {list(e)} is repeated")
+            numerator[e] = cyclotomic_from_json(c)
         factors = []
         for terms in data["factors"]:
             form = {}
             for v, c in terms:
                 if require_int(v, "factors", 0) >= nvars:
                     raise ValidationError(f"factors: variable {v} is out of range for nvars {nvars}")
+                if v in form:
+                    raise ValidationError(f"factors: variable {v} is repeated in one factor")
                 form[v] = cyclotomic_from_json(c)
             factors.append(LinearForm(form))
-        return cls(nvars, require_int(data["order"], "order", 1), num, factors)
+        order = require_int(data["order"], "order", 1)
+        numerator = {e: c.lift(order) for e, c in numerator.items() if not c.is_zero()}
+        den = lcm(*(c._den for c in numerator.values()))
+        num = [{} for _ in range(_field(order)[0])]
+        for e, c in numerator.items():
+            for col, x in zip(num, c._num):
+                col[e] = x * (den // c._den)
+        return cls(nvars, order, num, den, factors)
 
 
 class SeriesTruncation:

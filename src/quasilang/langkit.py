@@ -559,9 +559,21 @@ def congruence_to_json(spec: CongruenceSpec) -> dict:
     }
 
 
+def symbol_map_from_json(pairs, field: str) -> dict:
+    """{symbol: v} from a list of [symbol, v] pairs; a repeated symbol is a
+    ValidationError that names `field`."""
+    out = {}
+    for s, v in pairs:
+        s = symbol_from_json(s)
+        if s in out:
+            raise ValidationError(f"{field}: symbol {symbol_to_json(s)!r} is repeated")
+        out[s] = v
+    return out
+
+
 def congruence_from_json(data: dict) -> CongruenceSpec:
     group = AbelianGroup(tuple(require_int(n, "orders", 1) for n in data["orders"]))
-    phi = {symbol_from_json(s): require_ints(v, "phi") for s, v in data["phi"]}
+    phi = {s: require_ints(v, "phi") for s, v in symbol_map_from_json(data["phi"], "phi").items()}
     target = {require_ints(t, "target") for t in data["target"]}
     alphabet = tuple(symbol_from_json(s) for s in require_list(data["alphabet"], "alphabet"))
     return CongruenceSpec(group, phi, target, alphabet)

@@ -485,6 +485,9 @@ def principal_ideal_language(
     `genfun.closed` can certify a branch and count it.
     """
     alphabet = tuple(letters) if letters is not None else tuple(sorted(set(x.letters), key=repr))
+    if len(set(alphabet)) < len(alphabet):
+        a = next(a for i, a in enumerate(alphabet) if a in alphabet[:i])
+        raise ValidationError(f"letters: letter {a!r} is repeated")
     if not set(x.letters) <= set(alphabet):
         raise ValidationError("the ambient alphabet must contain the word's letters")
     group = x.group

@@ -512,6 +512,58 @@ def test_dfa_and_congruence_entries_are_checked():
     assert run(congruence)["status"] == "ok"
 
 
+def error(message):
+    return {"status": "error", "diagnostics": ["ValidationError: " + message]}
+
+
+def test_repeated_rational_entries_are_refused():
+    """A repeated numerator exponent or factor variable used to keep only its
+    last entry: the numerator below expanded to the constant 2, not 3, and
+    the factor was read as 1/(1 - t), whose t^2 coefficient is 1, not 4."""
+    one, two = [1, ["1"]], [1, ["2"]]
+
+    def expand(numerator, factors):
+        rational = {"nvars": 1, "order": 1, "numerator": numerator, "factors": factors}
+        return run({"cmd": "genfun.expand", "rational": rational, "degree": 2})
+
+    assert expand([[[0], one], [[0], two]], []) == error("numerator: exponent [0] is repeated")
+    assert expand([[[0], one]], [[[0, one], [0, one]]]) == error("factors: variable 0 is repeated in one factor")
+    # written once, the same values answer: 3, and 1/(1 - 2t)
+    assert expand([[[0], [1, ["3"]]]], [])["result"]["coefficients"] == [[[0], [1, ["3"]]]]
+    assert expand([[[0], one]], [[[0, two]]])["result"]["coefficients"][2] == [[2], [1, ["4"]]]
+
+
+def test_repeated_ambient_letters_are_refused():
+    """`letters` ["a", "a"] used to answer with a congruence of orders [2, 2]
+    that listed every symbol twice."""
+    x = {"letters": ["a"], "weights": [[1]], "orders": [2]}
+    assert run({"cmd": "poset.ideal", "x": x, "letters": ["a", "a"]}) == error("letters: letter 'a' is repeated")
+    assert run({"cmd": "poset.ideal", "x": x, "letters": ["a", "b", "a"]}) == error("letters: letter 'a' is repeated")
+    assert run({"cmd": "poset.ideal", "x": x, "letters": ["a", "b"]})["status"] == "ok"
+
+
+def test_repeated_symbols_are_refused():
+    """A congruence `phi` or a norm's `pairs` used to keep the last value of
+    a repeated symbol, so the `phi` below compiled as a -> 0."""
+    dfa = run({"cmd": "lang.compile", "expr": {"kind": "star", "symbols": ["a", "b"]}, "alphabet": ["a", "b"]})["result"]
+    spec = {"orders": [2], "alphabet": ["a", "b"], "phi": [["a", [1]], ["a", [0]], ["b", [0]]], "target": [[0]]}
+    assert run({"cmd": "lang.compile", "congruence": spec}) == error("phi: symbol 'a' is repeated")
+    quasi = {"ordered": {"kind": "star", "symbols": ["a", "b"]}, "congruence": spec}
+    assert run({"cmd": "genfun.closed", "quasi": quasi}) == error("phi: symbol 'a' is repeated")
+    norm = {"pairs": [["a", 0], ["b", 1], ["a", 1]], "size": 2}
+    assert run({"cmd": "lang.enum", "dfa": dfa, "bound": [1, 1], "norm": norm}) == error("pairs: symbol 'a' is repeated")
+    assert run({"cmd": "genfun.series", "dfa": dfa, "degree": 1, "norm": norm}) == error("pairs: symbol 'a' is repeated")
+    weighted = {"pairs": [[["a", [0]], 0], [["a", [0]], 1]], "size": 2}
+    assert run({"cmd": "genfun.series", "dfa": dfa, "degree": 1, "norm": weighted}) == error(
+        "pairs: symbol ['a', [0]] is repeated"
+    )
+    spec["phi"] = [["a", [1]], ["b", [0]]]
+    norm["pairs"] = [["a", 0], ["b", 1]]
+    assert run({"cmd": "lang.compile", "congruence": spec})["status"] == "ok"
+    assert run({"cmd": "lang.enum", "dfa": dfa, "bound": [1, 1], "norm": norm})["status"] == "ok"
+    assert run({"cmd": "genfun.series", "dfa": dfa, "degree": 1, "norm": norm})["status"] == "ok"
+
+
 def test_lists_sent_as_strings_are_rejected():
     """A string in a list field is not read as its characters."""
     star = {"kind": "star", "symbols": ["a", "b"]}

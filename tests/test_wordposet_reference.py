@@ -59,9 +59,9 @@ def rename_variables(F: FactoredRational, mapping, nvars: int) -> FactoredRation
             new_e[mapping[v]] += k
         return tuple(new_e)
 
-    num = merged((renamed(e), c) for e, c in F.numerator.items())
+    num = [merged((renamed(e), x) for e, x in col.items()) for col in F.num]
     factors = [LinearForm(merged((mapping[v], c) for v, c in f.terms)) for f in F.factors]
-    return FactoredRational(nvars, F.order, num, factors)
+    return FactoredRational(nvars, F.order, num, F.den, factors)
 
 
 def ordering_loop_closed(weights, group: AbelianGroup):
