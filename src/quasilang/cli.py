@@ -15,7 +15,7 @@ from math import prod
 
 from . import grouptheory, segre, wordposet, wreath
 from .cyclotomic import cyclotomic_to_json
-from .errors import QuasilangError, ValidationError, require_int, require_list
+from .errors import QuasilangError, ValidationError, require_bool, require_int, require_list
 from .genfun import (
     FactoredRational,
     congruence_filter,
@@ -61,15 +61,24 @@ def _at_least(req, field: str, least: int, default=None) -> int:
     return require_int(req[field], field, least)
 
 
+def _flag(req, field: str) -> bool:
+    """req[field] as a JSON boolean; an absent flag is false."""
+    return require_bool(req.get(field, False), field)
+
+
 def _degree(req, size: int) -> tuple[int, ...]:
     """The series bound: `degree` (default 8) for every coordinate, or a list
-    of `size` entries, each an int of at least 0.  The box of exponents it
-    spans, prod(b_i + 1), must fit the budget."""
+    of `size` entries, each an int of at least 0, checked by `_fit_box`."""
     degree = req.get("degree", 8)
     entries = degree if isinstance(degree, list) else [degree] * size
     if len(entries) != size:
         raise ValidationError(f"degree must have {size} entries, got {len(entries)}")
-    bound = tuple(require_int(b, "degree", 0) for b in entries)
+    return _fit_box(req, tuple(require_int(b, "degree", 0) for b in entries))
+
+
+def _fit_box(req, bound: tuple[int, ...]) -> tuple[int, ...]:
+    """`bound` when the box of exponents it spans, prod(b_i + 1), fits the
+    budget; a ValidationError otherwise."""
     box, budget = prod(b + 1 for b in bound), _budget(req)
     if box > budget:
         raise ValidationError(f"degree: a series box of {box} exponents exceeds the budget {budget}")
@@ -194,14 +203,16 @@ def _cmd_poset_minimal(req):
 def _cmd_poset_ideal(req):
     x = WeightedWord.from_json(req["x"])
     letters = tuple(require_list(req["letters"], "letters")) if "letters" in req else None
-    q = principal_ideal_language(x, letters=letters, reduced_stars=bool(req.get("reduced_stars")))
+    q = principal_ideal_language(x, letters=letters, reduced_stars=_flag(req, "reduced_stars"))
     return quasi_to_json(q)
 
 
 def _cmd_poset_series(req):
     group = AbelianGroup(tuple(require_int(n, "orders", 1) for n in req["orders"]))
     weights = [tuple(require_int(x, "weights") for x in w) for w in req["weights"]]
+    # the truncated series counts surjections at every exponent of its box
     bound = _at_least(req, "degree", 0, 5)
+    _fit_box(req, (bound,) * group.size)
     series, closed = wordposet.fws_principal_series(weights, group, bound)
     return {"series": series.to_json(), "closed": closed.to_json()}
 
@@ -220,7 +231,7 @@ def _cmd_group_restrict(req):
 
 def _cmd_group_good(req):
     G = _group_from_json(req["group"])
-    if req.get("young"):
+    if _flag(req, "young"):
         if G.kind[0] != "symmetric":
             raise ValidationError(f"young: Young subgroups need a symmetric group, got {G.name}")
         fam = [(H, emb) for _, H, emb in grouptheory.young_subgroups(G.kind[1], G)]
@@ -229,7 +240,7 @@ def _cmd_group_good(req):
             (_group_from_json(s["group"]), tuple(require_int(x, "embedding") for x in s["embedding"]))
             for s in req["subgroups"]
         ]
-    return grouptheory.is_good_family(G, fam, covering_only=bool(req.get("covering")))
+    return grouptheory.is_good_family(G, fam, covering_only=_flag(req, "covering"))
 
 
 def _wreath_table(req) -> grouptheory.CharacterTable:

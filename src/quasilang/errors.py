@@ -1,5 +1,5 @@
-"""Exception types shared across the package, and the integer and list
-checks that raise them on outside input."""
+"""Exception types shared across the package, and the integer, list and
+boolean checks that raise them on outside input."""
 
 
 class QuasilangError(Exception):
@@ -57,4 +57,12 @@ def require_list(value, field: str) -> list:
     `field`, so that a string is not read as its characters."""
     if not isinstance(value, list):
         raise ValidationError(f"{field} must be a list, got {type(value).__name__}")
+    return value
+
+
+def require_bool(value, field: str) -> bool:
+    """`value` when it is a bool; otherwise a ValidationError that names
+    `field`, so that a string such as "false" is not read as true."""
+    if not isinstance(value, bool):
+        raise ValidationError(f"{field} must be true or false, got {value!r}")
     return value

@@ -1,9 +1,10 @@
 """Ordinary (characteristic-zero) character theory for finite groups given by
 multiplication tables: built-in tables for symmetric and product groups and,
 through their linear characters, for abelian groups (cyclic ones included),
-the multiplicity of one class function in another, restriction and
-abelianization maps on representation rings, Smith normal form, and the
-split-injection test for good families of subgroups."""
+the multiplicity of one class function in another, the restriction map on
+representation rings, Smith normal form, and the split-injection test for
+good families of subgroups, which reads each abelianization off the linear
+characters (the degree-1 rows) of the subgroup's table."""
 
 from __future__ import annotations
 
@@ -167,9 +168,6 @@ class FiniteGroup:
     def order(self) -> int:
         return len(self.table)
 
-    def mult(self, a: int, b: int) -> int:
-        return self.table[a][b]
-
     def element_order(self, a: int) -> int:
         k, x = 1, a
         while x != self.identity:
@@ -198,49 +196,6 @@ class FiniteGroup:
             classes.append(tuple(sorted(orbit)))
         classes.sort(key=lambda c: c[0])
         return classes
-
-    def subgroup_closure(self, generators) -> tuple[int, ...]:
-        seen = {self.identity} | set(generators)
-        queue = list(seen)
-        while queue:
-            g = queue.pop()
-            for h in list(seen):
-                for x in (self.table[g][h], self.table[h][g]):
-                    if x not in seen:
-                        seen.add(x)
-                        queue.append(x)
-        return tuple(sorted(seen))
-
-    def commutator_subgroup(self) -> tuple[int, ...]:
-        comms = {
-            self.table[self.table[g][h]][self.table[self.inverse[g]][self.inverse[h]]]
-            for g in range(self.order)
-            for h in range(self.order)
-        }
-        return self.subgroup_closure(comms)
-
-    def quotient(self, normal: tuple[int, ...]):
-        """The quotient by a normal subgroup; returns (group, projection)."""
-        nset = set(normal)
-        for g in range(self.order):
-            for h in nset:
-                if self.table[self.table[g][h]][self.inverse[g]] not in nset:
-                    raise ValidationError("subgroup is not normal")
-        cosets: list[tuple[int, ...]] = []
-        proj = [None] * self.order
-        for g in range(self.order):
-            if proj[g] is not None:
-                continue
-            coset = tuple(sorted(self.table[g][h] for h in nset))
-            idx = len(cosets)
-            cosets.append(coset)
-            for x in coset:
-                proj[x] = idx
-        table = [
-            [proj[self.table[c1[0]][c2[0]]] for c2 in cosets] for c1 in cosets
-        ]
-        q = FiniteGroup(table, labels=tuple(c[0] for c in cosets), name=f"{self.name}/N")
-        return q, tuple(proj)
 
     # -- constructors ---------------------------------------------------------
 
@@ -566,64 +521,29 @@ def restriction_matrix(G: FiniteGroup, H: FiniteGroup, embedding) -> list[list[i
     return out
 
 
-def abelianization_matrix(H: FiniteGroup):
-    """Multiplicities <chi_V, lambda o pi>_H for the linear characters lambda
-    of H/[H,H]; returns (matrix, exponent of the abelianization)."""
-    derived = H.commutator_subgroup()
-    quotient, proj = H.quotient(derived)
-    chars, M = abelian_characters(quotient)
-    tH = character_table(H)
-    # lambda o pi is a class function: read it at one element per class
-    reps = tH.representatives()
-    lams = [[CyclotomicNumber.root(M, chi[proj[h]]) for h in reps] for chi in chars]
-    out = [
-        [multiplicity(tH.class_sizes, v, lam, "abelianization multiplicity") for lam in lams]
-        for v in tH.rows
-    ]
-    return out, M
-
-
 # ---------------------------------------------------------------------------
-# Smith normal form over the integers, with transforms
+# Smith normal form over the integers
 
 
-def smith_normal_form(matrix):
-    """Diagonalize an integer matrix: returns (divisors, U, V) with
-    U * M * V diagonal, d_1 | d_2 | ..., and U, V products of elementary
-    unimodular operations."""
+def smith_normal_form(matrix) -> list[int]:
+    """The invariant factors d_1 | d_2 | ... of an integer matrix, one per
+    diagonal entry of its Smith normal form (zeros last), found by
+    elementary unimodular row and column operations."""
     A = [list(map(int, row)) for row in matrix]
     m = len(A)
     n = len(A[0]) if m else 0
-    U = [[int(i == j) for j in range(m)] for i in range(m)]
-    V = [[int(i == j) for j in range(n)] for i in range(n)]
-
-    def swap_rows(i, j):
-        A[i], A[j] = A[j], A[i]
-        U[i], U[j] = U[j], U[i]
 
     def swap_cols(i, j):
         for row in A:
-            row[i], row[j] = row[j], row[i]
-        for row in V:
             row[i], row[j] = row[j], row[i]
 
     def add_row(src, dst, c):
         for k in range(n):
             A[dst][k] += c * A[src][k]
-        for k in range(m):
-            U[dst][k] += c * U[src][k]
 
     def add_col(src, dst, c):
         for row in A:
             row[dst] += c * row[src]
-        for row in V:
-            row[dst] += c * row[src]
-
-    def negate_row(i):
-        for k in range(n):
-            A[i][k] = -A[i][k]
-        for k in range(m):
-            U[i][k] = -U[i][k]
 
     r = min(m, n)
     for t in range(r):
@@ -636,11 +556,10 @@ def smith_normal_form(matrix):
                         pivot = (i, j)
             if pivot is None:
                 break
-            if pivot != (t, t):
-                if pivot[0] != t:
-                    swap_rows(t, pivot[0])
-                if pivot[1] != t:
-                    swap_cols(t, pivot[1])
+            if pivot[0] != t:
+                A[t], A[pivot[0]] = A[pivot[0]], A[t]
+            if pivot[1] != t:
+                swap_cols(t, pivot[1])
             done = True
             for i in range(t + 1, m):
                 if A[i][t]:
@@ -667,44 +586,53 @@ def smith_normal_form(matrix):
                 if bad is None:
                     break
                 add_row(bad, t, 1)
-        if A[t][t] < 0:
-            negate_row(t)
-    divisors = [A[i][i] for i in range(r)]
-    return divisors, U, V
+    return [abs(A[i][i]) for i in range(r)]
 
 
 # ---------------------------------------------------------------------------
 # good families
 
 
-def _matmul(a, b):
-    return [[sum(x * y for x, y in zip(row, col)) for col in zip(*b)] for row in a]
+def _root_order(value: CyclotomicNumber, bound: int) -> int:
+    """The least k >= 1 with value^k = 1, which must be at most `bound`."""
+    power = value
+    for k in range(1, bound + 1):
+        if power == 1:
+            return k
+        power = power * value
+    raise ValidationError(f"{value!r} is not a root of unity of order at most {bound}")
 
 
 def is_good_family(G: FiniteGroup, subgroups, covering_only: bool = False) -> dict:
     """Test whether restriction (then abelianization) to the given subgroups
     is a split injection of representation rings.
 
-    `subgroups` is a list of (H, embedding) pairs.  Returns goodness, the
-    nonzero elementary divisors, and the lcm of the abelianization exponents
-    (the certified root-of-unity order)."""
+    `subgroups` is a list of (H, embedding) pairs.  The linear characters of
+    H, the characters of H^ab, are the degree-1 rows of its character table,
+    and <Res V, lambda>_H for linear lambda is the column of lambda in the
+    restriction matrix, so each H contributes those columns (every column
+    when `covering_only`).  The exponent of H^ab is the lcm of the orders of
+    the roots of unity in those rows.  Returns goodness, the nonzero
+    elementary divisors, and the lcm of the abelianization exponents (the
+    certified root-of-unity order)."""
     blocks = []
     exponents = []
     for H, emb in subgroups:
         R = restriction_matrix(G, H, emb)
         if covering_only:
             blocks.append(R)
-        else:
-            Aab, M = abelianization_matrix(H)
-            blocks.append(_matmul(R, Aab))
-            exponents.append(M)
+            continue
+        tH = character_table(H)
+        linear = [j for j, d in enumerate(tH.dims()) if d == 1]
+        blocks.append([[row[j] for j in linear] for row in R])
+        values = {v.key(): v for j in linear for v in tH.rows[j]}
+        exponents.append(lcm(*(_root_order(v, H.order) for v in values.values())))
     n_irr = len(character_table(G).rows)
     stacked = [
         list(itertools.chain.from_iterable(block[i] for block in blocks))
         for i in range(n_irr)
     ]
-    divisors, _, _ = smith_normal_form(stacked)
-    nonzero = [d for d in divisors if d != 0]
+    nonzero = [d for d in smith_normal_form(stacked) if d != 0]
     good = len(nonzero) == n_irr and all(d == 1 for d in nonzero)
     return {
         "good": good,

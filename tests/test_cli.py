@@ -120,6 +120,26 @@ def test_young_family_needs_a_symmetric_group():
         assert message.startswith("ValidationError: young:"), message
 
 
+def test_boolean_flags_must_be_booleans():
+    s3 = {"construct": "symmetric", "n": 3}
+    good = {"cmd": "group.good", "group": s3}
+    # "false" is a string, not false: it used to select the covering-only test
+    assert run(dict(good, young=True, covering=False))["result"]["exponent_lcm"] == 2
+    assert run(dict(good, young=True, covering="false"))["diagnostics"] == [
+        "ValidationError: covering must be true or false, got 'false'"
+    ]
+    # "no" used to select the Young family
+    assert run(dict(good, young="no", subgroups=[]))["diagnostics"] == [
+        "ValidationError: young must be true or false, got 'no'"
+    ]
+    assert run(dict(good, young=False, subgroups=[]))["result"]["good"] is False
+    x = {"letters": ["a"], "weights": [[1]], "orders": [2]}
+    assert run({"cmd": "poset.ideal", "x": x, "reduced_stars": 1})["diagnostics"] == [
+        "ValidationError: reduced_stars must be true or false, got 1"
+    ]
+    assert run({"cmd": "poset.ideal", "x": x, "reduced_stars": False}) == run({"cmd": "poset.ideal", "x": x})
+
+
 def test_payloads_that_are_not_objects_are_rejected():
     for request in ([], [{"cmd": "group.table"}], "group.table", 3, None):
         resp = run(request)
@@ -312,6 +332,19 @@ def test_series_box_is_budgeted(tmp_path, capsys):
         assert run(dict(base, degree=2, budget=8))["diagnostics"] == [
             "ValidationError: degree: a series box of 9 exponents exceeds the budget 8"
         ]
+    # poset.series counts surjections at every exponent of a box with one
+    # coordinate per group element: 6^52 exponents for Z/52 at degree 5
+    series = {"cmd": "poset.series", "weights": [[1]]}
+    start = time.monotonic()
+    resp = run(dict(series, orders=[52]))
+    elapsed = time.monotonic() - start
+    assert resp["diagnostics"] == [f"ValidationError: degree: a series box of {6**52} exponents exceeds the budget 200000"]
+    assert elapsed < 1, f"took {elapsed:.1f} s"
+    assert run(dict(series, orders=[6]))["status"] == "ok"  # 6^6 = 46,656 exponents
+    assert run(dict(series, orders=[2], degree=2, budget=9))["status"] == "ok"
+    assert run(dict(series, orders=[2], degree=2, budget=8))["diagnostics"] == [
+        "ValidationError: degree: a series box of 9 exponents exceeds the budget 8"
+    ]
     path = tmp_path / "dfa.json"
     path.write_text(json.dumps({"dfa": dfa}))
     assert main(["genfun.series", "--in", str(path), "--degree", "2", "--budget", "8"]) == 1

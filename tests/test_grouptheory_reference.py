@@ -1,11 +1,16 @@
-"""The class-sum multiplicity kernel against the element sums it replaced,
-kept here as the reference.
+"""Reference code for the group-theory kernels, kept here to compare them
+against.
 
-`restriction_matrix` and `abelianization_matrix` used to sum over every
-element of the subgroup; they now read each character at one element per
-conjugacy class, weighted by the class size.  Cyclic groups used to have a
-table of their own (rows zeta_n^(jk)); they now go through the abelian
-construction.  Both references below are the removed code, written out.
+`restriction_matrix` used to sum over every element of the subgroup; it now
+reads each character at one element per conjugacy class, weighted by the
+class size.  Cyclic groups used to have a table of their own (rows
+zeta_n^(jk)); they now go through the abelian construction.  The good-family
+test used to build, for each subgroup H, the commutator subgroup, the
+quotient group H/[H,H] and that quotient's linear characters, and multiplied
+the restriction matrix by the resulting abelianization matrix; it now keeps
+the columns of the restriction matrix at the degree-1 rows of H's table.
+The element sums, `subgroup_closure`, `commutator_subgroup`, `quotient` and
+`abelianization_matrix` below are the removed code, written out.
 """
 
 from __future__ import annotations
@@ -21,11 +26,11 @@ from quasilang.grouptheory import (
     CharacterTable,
     FiniteGroup,
     abelian_characters,
-    abelianization_matrix,
     character_table,
     is_good_family,
     multiplicity,
     restriction_matrix,
+    smith_normal_form,
     young_subgroups,
 )
 
@@ -52,9 +57,55 @@ def reference_restriction_matrix(G: FiniteGroup, H: FiniteGroup, emb) -> list[li
     return out
 
 
+def subgroup_closure(G: FiniteGroup, generators) -> tuple[int, ...]:
+    seen = {G.identity} | set(generators)
+    queue = list(seen)
+    while queue:
+        g = queue.pop()
+        for h in list(seen):
+            for x in (G.table[g][h], G.table[h][g]):
+                if x not in seen:
+                    seen.add(x)
+                    queue.append(x)
+    return tuple(sorted(seen))
+
+
+def commutator_subgroup(G: FiniteGroup) -> tuple[int, ...]:
+    comms = {
+        G.table[G.table[g][h]][G.table[G.inverse[g]][G.inverse[h]]]
+        for g in range(G.order)
+        for h in range(G.order)
+    }
+    return subgroup_closure(G, comms)
+
+
+def quotient(G: FiniteGroup, normal: tuple[int, ...]):
+    """The quotient by a normal subgroup; returns (group, projection)."""
+    nset = set(normal)
+    for g in range(G.order):
+        for h in nset:
+            if G.table[G.table[g][h]][G.inverse[g]] not in nset:
+                raise ValidationError("subgroup is not normal")
+    cosets: list[tuple[int, ...]] = []
+    proj = [None] * G.order
+    for g in range(G.order):
+        if proj[g] is not None:
+            continue
+        coset = tuple(sorted(G.table[g][h] for h in nset))
+        idx = len(cosets)
+        cosets.append(coset)
+        for x in coset:
+            proj[x] = idx
+    table = [[proj[G.table[c1[0]][c2[0]]] for c2 in cosets] for c1 in cosets]
+    q = FiniteGroup(table, labels=tuple(c[0] for c in cosets), name=f"{G.name}/N")
+    return q, tuple(proj)
+
+
 def reference_abelianization_matrix(H: FiniteGroup):
-    quotient, proj = H.quotient(H.commutator_subgroup())
-    chars, M = abelian_characters(quotient)
+    """Multiplicities <chi_V, lambda o pi>_H for the linear characters lambda
+    of H/[H,H]; returns (matrix, exponent of the abelianization)."""
+    q, proj = quotient(H, commutator_subgroup(H))
+    chars, M = abelian_characters(q)
     tH = character_table(H)
     out = []
     for i in range(len(tH.rows)):
@@ -66,6 +117,10 @@ def reference_abelianization_matrix(H: FiniteGroup):
             row.append(_as_nonneg_int((total * Fraction(1, H.order)).rational_value()))
         out.append(row)
     return out, M
+
+
+def _matmul(a, b):
+    return [[sum(x * y for x, y in zip(row, col)) for col in zip(*b)] for row in a]
 
 
 def reference_cyclic_table(n: int, group: FiniteGroup) -> CharacterTable:
@@ -128,7 +183,62 @@ def test_restriction_matrix_matches_element_sum(G, H, emb):
 
 @pytest.mark.parametrize("G,H,emb", CASES)
 def test_abelianization_matrix_matches_element_sum(G, H, emb):
-    assert abelianization_matrix(H) == reference_abelianization_matrix(H)
+    """The abelianization matrix is a selection: its columns are the unit
+    vectors at the degree-1 rows of H's table, one each."""
+    mat, _ = reference_abelianization_matrix(H)
+    dims = character_table(H).dims()
+    linear = [[int(i == j) for i in range(len(dims))] for j, d in enumerate(dims) if d == 1]
+    assert sorted(map(list, zip(*mat))) == sorted(linear)
+
+
+@pytest.mark.parametrize("covering_only", [False, True])
+@pytest.mark.parametrize("G,H,emb", CASES)
+def test_good_family_matches_quotient_pipeline(G, H, emb, covering_only):
+    R = reference_restriction_matrix(G, H, emb)
+    if covering_only:
+        block, exponent = R, 1
+    else:
+        Aab, exponent = reference_abelianization_matrix(H)
+        block = _matmul(R, Aab)
+    divisors = [d for d in smith_normal_form(block) if d]
+    assert is_good_family(G, [(H, emb)], covering_only) == {
+        "good": divisors == [1] * len(R),
+        "elementary_divisors": divisors,
+        "exponent_lcm": exponent,
+    }
+
+
+def test_commutator_and_quotient():
+    s3 = FiniteGroup.symmetric(3)
+    derived = commutator_subgroup(s3)
+    assert len(derived) == 3  # A_3
+    q, proj = quotient(s3, derived)
+    assert q.order == 2
+    assert len(set(proj)) == 2
+
+
+def test_abelianization_s3():
+    H = FiniteGroup.symmetric(3)
+    mat, M = reference_abelianization_matrix(H)
+    assert M == 2
+    t = character_table(H)
+    triv = t.row_names.index((3,))
+    sgn = t.row_names.index((1, 1, 1))
+    std = t.row_names.index((2, 1))
+    # columns: two linear characters of S_3^ab = Z/2
+    assert sorted(mat[triv]) == [0, 1]
+    assert sorted(mat[sgn]) == [0, 1]
+    assert mat[triv] != mat[sgn]
+    assert mat[std] == [0, 0]
+
+
+def test_abelianization_of_abelian_group_is_identity():
+    H = FiniteGroup.direct_product(FiniteGroup.cyclic(2), FiniteGroup.cyclic(2))
+    mat, M = reference_abelianization_matrix(H)
+    assert M == 2
+    # a permutation matrix: each irreducible hits exactly one linear character
+    assert sorted(sorted(row) for row in mat) == [[0, 0, 0, 1]] * 4
+    assert all(sum(col) == 1 for col in zip(*mat))
 
 
 @pytest.mark.parametrize("n", range(1, 25))
