@@ -11,7 +11,6 @@ from __future__ import annotations
 import argparse
 import json
 import sys
-from math import prod
 
 from . import grouptheory, segre, wordposet, wreath
 from .cyclotomic import cyclotomic_to_json
@@ -78,8 +77,14 @@ def _degree(req, size: int) -> tuple[int, ...]:
 
 def _fit_box(req, bound: tuple[int, ...]) -> tuple[int, ...]:
     """`bound` when the box of exponents it spans, prod(b_i + 1), fits the
-    budget; a ValidationError otherwise."""
-    box, budget = prod(b + 1 for b in bound), _budget(req)
+    budget; a ValidationError otherwise.  The product stops once it is past
+    both the budget and 10^100, so a box of 6^1000000 exponents is refused
+    after 129 of its factors and is never printed."""
+    box, budget = 1, _budget(req)
+    for b in bound:
+        box *= b + 1
+        if box > budget and box > 10**100:
+            raise ValidationError(f"degree: a series box of more than 10^100 exponents exceeds the budget {budget}")
     if box > budget:
         raise ValidationError(f"degree: a series box of {box} exponents exceeds the budget {budget}")
     return bound
@@ -210,7 +215,7 @@ def _cmd_poset_ideal(req):
 def _cmd_poset_series(req):
     group = AbelianGroup(tuple(require_int(n, "orders", 1) for n in req["orders"]))
     weights = [tuple(require_int(x, "weights") for x in w) for w in req["weights"]]
-    # the truncated series counts surjections at every exponent of its box
+    # the closed form is expanded at every exponent of the series box
     bound = _at_least(req, "degree", 0, 5)
     _fit_box(req, (bound,) * group.size)
     series, closed = wordposet.fws_principal_series(weights, group, bound)

@@ -526,7 +526,7 @@ class SeriesTruncation:
 
 
 # ---------------------------------------------------------------------------
-# series from automata (the brute-force oracle)
+# series from automata: the DFA word counter
 
 
 def series_from_dfa(dfa: Dfa, norm: Norm, bound) -> SeriesTruncation:
@@ -543,6 +543,8 @@ def series_from_dfa(dfa: Dfa, norm: Norm, bound) -> SeriesTruncation:
     if isinstance(bound, int):
         bound = (bound,) * norm.size
     bound = tuple(bound)
+    if len(bound) != norm.size:
+        raise ValidationError("bound must have one coordinate per variable")
     strides = [prod(b + 1 for b in bound[i + 1 :]) for i in range(len(bound))]
     preds: list[set[int]] = [set() for _ in dfa.delta]
     for p, row in enumerate(dfa.delta):

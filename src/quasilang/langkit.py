@@ -457,20 +457,18 @@ def enumerate_by_norm(dfa: Dfa, norm: Norm, bound) -> list[tuple]:
     if len(bound) != norm.size:
         raise ValidationError(f"bound has {len(bound)} coordinates, norm has {norm.size}")
     out: list[tuple] = []
-    sym_norm = [(s, norm.index(s)) for s in dfa.alphabet]
-
-    def rec(state: int, word: list, budget: list[int]) -> None:
+    # the extensions of a word go on the stack in reverse alphabet order, so
+    # they come off in alphabet order, each after the words it extends
+    backwards = [(s, norm.index(s)) for s in reversed(dfa.alphabet)]
+    stack = [(dfa.start, (), bound)]
+    while stack:
+        state, word, budget = stack.pop()
         if state in dfa.accepting:
-            out.append(tuple(word))
-        for s, i in sym_norm:
+            out.append(word)
+        for s, i in backwards:
             if budget[i] > 0:
-                budget[i] -= 1
-                word.append(s)
-                rec(dfa.step(state, s), word, budget)
-                word.pop()
-                budget[i] += 1
-
-    rec(dfa.start, [], list(bound))
+                rest = budget[:i] + (budget[i] - 1,) + budget[i + 1 :]
+                stack.append((dfa.step(state, s), word + (s,), rest))
     return out
 
 

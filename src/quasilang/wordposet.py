@@ -14,7 +14,6 @@ import itertools
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import lru_cache
-from math import factorial
 
 from .cyclotomic import CyclotomicNumber
 from .errors import NoWitnessError, PreconditionError, ValidationError, require_int, require_list
@@ -576,44 +575,16 @@ class UpsetRecognizer:
 # Hilbert series of principal projectives over weighted surjections
 
 
-def _count_weighted_surjections(points, targets, group: AbelianGroup) -> int:
-    """Functions from the weighted points onto the weighted targets whose
-    fiber sums reproduce the target weights."""
-    j = len(targets)
-    if j == 0:
-        return 1 if not points else 0
-    if len(points) < j:
-        return 0
-    state = {(tuple([group.identity()] * j), 0): 1}
-    for w in points:
-        new: dict = {}
-        for (sums, mask), cnt in state.items():
-            for t in range(j):
-                ns = sums[:t] + (group.add(sums[t], w),) + sums[t + 1 :]
-                key = (ns, mask | (1 << t))
-                new[key] = new.get(key, 0) + cnt
-        state = new
-    full = (1 << j) - 1
-    return sum(cnt for (sums, mask), cnt in state.items() if mask == full and sums == tuple(targets))
-
-
-def multinomial(exponents) -> int:
-    total = sum(exponents)
-    out = factorial(total)
-    for e in exponents:
-        out //= factorial(e)
-    return out
-
-
 def fws_principal_series(weights, group: AbelianGroup, bound: int):
     """Hilbert series of the principal projective at a weighted set.
 
     The coefficient of t^n (n over the elements of Lambda) is C_n times the
     number of weight-preserving surjections from the multiset [n] onto the
     given weighted set, with C_n the multinomial coefficient.  Returns that
-    count, truncated at `bound`, together with the closed form, which is
-    never None: inclusion-exclusion over the image S of the surjection and
-    character orthogonality on each fiber sum give
+    series, truncated at `bound` with int coefficients, together with the
+    closed form it is expanded from, which is never None: inclusion-exclusion
+    over the image S of the surjection and character orthogonality on each
+    fiber sum give
 
         sum_S (-1)^(k-|S|) [w_i = 0 off S] |Lambda|^-|S| sum_(chi in dual^S)
             prod_(i in S) chi_i(w_i)^-1 / (1 - sum_g (sum_(i in S) chi_i(g)) t_g).
@@ -627,17 +598,6 @@ def fws_principal_series(weights, group: AbelianGroup, bound: int):
             raise ValidationError(f"{w!r} is not an element of the group")
     elements = group.elements()
     nvars = len(elements)
-    bounds = (bound,) * nvars
-
-    coeffs = {}
-    for n in itertools.product(*(range(b + 1) for b in bounds)):
-        points = []
-        for e, mult in zip(elements, n):
-            points.extend([e] * mult)
-        count = _count_weighted_surjections(points, weights, group)
-        if count:
-            coeffs[n] = multinomial(n) * count
-    series = SeriesTruncation(1, bounds, coeffs)
 
     # chi_m(g) = zeta_N^char_exponent(m, g) for m in Lambda; None leaves point i
     # out of the image S, which only a zero weight allows
@@ -662,4 +622,14 @@ def fws_principal_series(weights, group: AbelianGroup, bound: int):
             for v, g in enumerate(elements)
         }
         terms.append((LinearForm(form), c * Fraction(1, group.size ** len(chars))))
-    return series, FactoredRational.geometric_sum(nvars, terms)
+    closed = FactoredRational.geometric_sum(nvars, terms)
+    # each coefficient counts surjections: a natural number, kept as an int
+    expanded = closed.expand((bound,) * nvars)
+    counts = {}
+    for e, c in expanded.coefficients.items():
+        if type(c) is not int:
+            assert c.is_rational() and c.is_integral(), f"coefficient {c!r} at {e} is not an integer"
+            c = c.rational_value().numerator
+        assert c > 0, f"coefficient {c} at {e} is negative"
+        counts[e] = c
+    return SeriesTruncation(1, expanded.bound, counts), closed

@@ -8,14 +8,18 @@ Not a test module (pytest does not collect it); test files import it by name.
 - `decompose_induced` and `induced_monomial_image` decompose the diagonal
   induction by Frobenius reciprocity, the oracle for
   `wreath.diag_induced_series`.
+- `surjection_series` counts weight-preserving surjections one exponent at a
+  time, the oracle for `wordposet.fws_principal_series`.
 """
 
 from __future__ import annotations
 
 import itertools
+from math import factorial
 
 from quasilang.cyclotomic import CyclotomicNumber
 from quasilang.errors import ValidationError
+from quasilang.genfun import SeriesTruncation
 from quasilang.grouptheory import CharacterTable, multiplicity
 from quasilang.wordposet import WeightedWord, minimal_fiber_words, theta_vector
 
@@ -183,3 +187,49 @@ def induced_monomial_image(table: CharacterTable, i: int, n: int) -> dict:
         key = tuple(content)
         poly[key] = poly.get(key, 0) + mult
     return poly
+
+
+# ---------------------------------------------------------------------------
+# the brute-force count of weighted surjections
+
+
+def count_weighted_surjections(points, targets, group) -> int:
+    """Functions from the weighted points onto the weighted targets whose
+    fiber sums reproduce the target weights."""
+    j = len(targets)
+    if j == 0:
+        return 1 if not points else 0
+    if len(points) < j:
+        return 0
+    state = {(tuple([group.identity()] * j), 0): 1}
+    for w in points:
+        new: dict = {}
+        for (sums, mask), cnt in state.items():
+            for t in range(j):
+                ns = sums[:t] + (group.add(sums[t], w),) + sums[t + 1 :]
+                key = (ns, mask | (1 << t))
+                new[key] = new.get(key, 0) + cnt
+        state = new
+    full = (1 << j) - 1
+    return sum(cnt for (sums, mask), cnt in state.items() if mask == full and sums == tuple(targets))
+
+
+def multinomial(exponents) -> int:
+    out = factorial(sum(exponents))
+    for e in exponents:
+        out //= factorial(e)
+    return out
+
+
+def surjection_series(weights, group, bound: int) -> SeriesTruncation:
+    """The series of `fws_principal_series` counted at every exponent n of the
+    box: C_n times the surjections from the multiset [n] onto the weights."""
+    elements = group.elements()
+    bounds = (bound,) * len(elements)
+    coeffs = {}
+    for n in itertools.product(*(range(b + 1) for b in bounds)):
+        points = [e for e, mult in zip(elements, n) for _ in range(mult)]
+        count = count_weighted_surjections(points, tuple(weights), group)
+        if count:
+            coeffs[n] = multinomial(n) * count
+    return SeriesTruncation(1, bounds, coeffs)

@@ -332,13 +332,21 @@ def test_series_box_is_budgeted(tmp_path, capsys):
         assert run(dict(base, degree=2, budget=8))["diagnostics"] == [
             "ValidationError: degree: a series box of 9 exponents exceeds the budget 8"
         ]
-    # poset.series counts surjections at every exponent of a box with one
-    # coordinate per group element: 6^52 exponents for Z/52 at degree 5
+    # poset.series expands its closed form over a box with one coordinate
+    # per group element: 6^52 exponents for Z/52 at degree 5
     series = {"cmd": "poset.series", "weights": [[1]]}
     start = time.monotonic()
     resp = run(dict(series, orders=[52]))
     elapsed = time.monotonic() - start
     assert resp["diagnostics"] == [f"ValidationError: degree: a series box of {6**52} exponents exceeds the budget 200000"]
+    assert elapsed < 1, f"took {elapsed:.1f} s"
+    # 6^1000000 exponents for Z/1000000: the product stops past 10^100
+    start = time.monotonic()
+    resp = run(dict(series, orders=[1000000]))
+    elapsed = time.monotonic() - start
+    assert resp["diagnostics"] == [
+        "ValidationError: degree: a series box of more than 10^100 exponents exceeds the budget 200000"
+    ]
     assert elapsed < 1, f"took {elapsed:.1f} s"
     assert run(dict(series, orders=[6]))["status"] == "ok"  # 6^6 = 46,656 exponents
     assert run(dict(series, orders=[2], degree=2, budget=9))["status"] == "ok"
@@ -650,6 +658,16 @@ def test_poset_leq_on_a_long_word_answers():
     assert resp["status"] == "ok", resp
     f = OrderedSurjection(tuple(v - 1 for v in resp["result"]["map"]), resp["result"]["target_size"])
     assert validate_witness(f, WeightedWord.from_json(x), WeightedWord.from_json(y))
+
+
+def test_lang_enum_of_a_long_word_answers():
+    # a chain DFA that accepts only a^1200: the recursive enumeration ran out
+    # of recursion along it
+    n = 1200
+    dfa = {"alphabet": ["a"], "delta": [[i + 1] for i in range(n + 1)] + [[n + 1]], "start": 0, "accepting": [n]}
+    for bound in (n, [n]):
+        assert run({"cmd": "lang.enum", "dfa": dfa, "bound": bound}) == {"status": "ok", "result": [["a"] * n]}
+    assert run({"cmd": "lang.enum", "dfa": dfa, "bound": n - 1}) == {"status": "ok", "result": []}
 
 
 def test_determinism_byte_identical():

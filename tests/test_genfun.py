@@ -131,6 +131,17 @@ def test_series_from_dfa_of_a_negative_bound_is_empty():
     assert series_from_dfa(d, Norm.universal(AB), (2, -1)).coefficients == {}
 
 
+def test_series_from_dfa_refuses_a_bound_of_the_wrong_length():
+    # as FactoredRational.expand does: (3,) indexed past the bound, and
+    # (2, 2, 2) gave a 3-variable series over a 2-symbol norm
+    d = compile_ordered(Star(AB), AB)
+    for bound in ((3,), (2, 2, 2)):
+        with pytest.raises(ValidationError, match="^bound must have one coordinate per variable$"):
+            series_from_dfa(d, Norm.universal(AB), bound)
+        with pytest.raises(ValidationError, match="^bound must have one coordinate per variable$"):
+            ordered_genfun(Star(AB), AB).expand(bound)
+
+
 def test_ordered_genfun_star():
     F = ordered_genfun(Star(AB), AB)
     d = compile_ordered(Star(AB), AB)
