@@ -4,17 +4,25 @@ Requests are {"cmd": "<domain>.<op>", ...payload...}; responses are
 {"status": "ok", "result": ...} or {"status": "error", "diagnostics": [...]}.
 All numbers are serialized exactly (integers, "p/q" strings, cyclotomic
 coefficient arrays); identical requests produce byte-identical responses.
+
+Every field is read through an `errors.Payload`, so a missing field, a wrong
+type, a repeated key, an out-of-range entry or nesting past `MAX_DEPTH` is a
+`ValidationError` whose message starts with the JSON path of the value, e.g.
+"rational.factors[0][0][0] must lie in range(2), got 2"; a field of the
+request has its bare name as its path.
 """
 
 from __future__ import annotations
 
 import argparse
+import functools
+import itertools
 import json
 import sys
 
 from . import grouptheory, segre, wordposet, wreath
 from .cyclotomic import cyclotomic_to_json
-from .errors import QuasilangError, ValidationError, require_bool, require_int, require_list
+from .errors import Payload, QuasilangError, ValidationError
 from .genfun import (
     FactoredRational,
     congruence_filter,
@@ -36,77 +44,90 @@ from .langkit import (
     enumerate_by_norm,
     quasi_from_json,
     quasi_to_json,
-    symbol_from_json,
-    symbol_map_from_json,
     symbol_to_json,
 )
 from .wordposet import WeightedWord, principal_ideal_language
 
 
-def _norm_from_json(data, alphabet) -> Norm:
-    if data is None or data == {"universal": True}:
+def _norm_from_json(p: Payload, alphabet) -> Norm:
+    if p.value is None or p.value == {"universal": True}:
         return Norm.universal(alphabet)
-    if data == {"length": True}:
+    if p.value == {"length": True}:
         return Norm.length(alphabet)
-    mapping = {s: require_int(i, "pairs") for s, i in symbol_map_from_json(data["pairs"], "pairs").items()}
-    return Norm(mapping, _at_least(data, "size", 0))
+    size = p["size"].int(0)
+    return Norm(p["pairs"].pairs(Payload.symbol, lambda i: i.int(0, size), "symbol"), size)
 
 
-def _at_least(req, field: str, least: int, default=None) -> int:
-    """req[field], an int (not a bool) of at least `least`; `default` when
-    the field is absent and a default is given."""
-    if default is not None and field not in req:
-        return default
-    return require_int(req[field], field, least)
+def _budget(req: Payload) -> int:
+    """The budget (also the --budget flag) of the simplices of a Segre
+    product, the exponents of a series box and the elements of a group."""
+    return req.get("budget", segre.DEFAULT_SIMPLEX_BUDGET).int(0)
 
 
-def _flag(req, field: str) -> bool:
-    """req[field] as a JSON boolean; an absent flag is false."""
-    return require_bool(req.get(field, False), field)
+def _fit(req: Payload, where: Payload, noun: str, factors) -> None:
+    """Refuse at `where` a construction whose size, the product of `factors`,
+    exceeds the budget.  The product stops once past both the budget and
+    10^100, so a box of 6^1000000 exponents or S_(10^30) is refused at once."""
+    size, budget = 1, _budget(req)
+    for f in factors:
+        size *= f
+        if size > budget and size > 10**100:
+            raise where.error(noun.format("more than 10^100") + f" exceeds the budget {budget}")
+    if size > budget:
+        raise where.error(noun.format(size) + f" exceeds the budget {budget}")
 
 
-def _degree(req, size: int) -> tuple[int, ...]:
+def _degree(req: Payload, size: int) -> tuple[int, ...]:
     """The series bound: `degree` (default 8) for every coordinate, or a list
-    of `size` entries, each an int of at least 0, checked by `_fit_box`."""
-    degree = req.get("degree", 8)
-    entries = degree if isinstance(degree, list) else [degree] * size
-    if len(entries) != size:
-        raise ValidationError(f"degree must have {size} entries, got {len(entries)}")
-    return _fit_box(req, tuple(require_int(b, "degree", 0) for b in entries))
-
-
-def _fit_box(req, bound: tuple[int, ...]) -> tuple[int, ...]:
-    """`bound` when the box of exponents it spans, prod(b_i + 1), fits the
-    budget; a ValidationError otherwise.  The product stops once it is past
-    both the budget and 10^100, so a box of 6^1000000 exponents is refused
-    after 129 of its factors and is never printed."""
-    box, budget = 1, _budget(req)
-    for b in bound:
-        box *= b + 1
-        if box > budget and box > 10**100:
-            raise ValidationError(f"degree: a series box of more than 10^100 exponents exceeds the budget {budget}")
-    if box > budget:
-        raise ValidationError(f"degree: a series box of {box} exponents exceeds the budget {budget}")
+    of `size` ints of at least 0; its box must fit the budget."""
+    p, box = req.get("degree", 8), "a series box of {} exponents"
+    if type(p.value) is not list:
+        d = p.int(0)
+        # size factors of d + 1, none when they are 1s (size may be huge)
+        _fit(req, p, box, (d + 1 for _ in range(size)) if d else ())
+        return (d,) * size
+    bound = p.ints(0)
+    if len(bound) != size:
+        raise ValidationError(f"{p.path} must have {size} entries, got {len(bound)}")
+    _fit(req, p, box, (b + 1 for b in bound))
     return bound
 
 
-def _group_from_json(data) -> grouptheory.FiniteGroup:
-    if not isinstance(data, dict):
-        raise ValidationError(f"group must be a JSON object, got {type(data).__name__}")
-    construct = data.get("construct")
+def _group_reader(p: Payload, factors: list):
+    """A builder of the group of `p`, {"construct": "cyclic" | "symmetric",
+    "n": n}, {"construct": "product", "factors": [...]} or {"table": [[...]]},
+    read in full first.  The factors of its order go on `factors`."""
+    construct = p.get("construct").value
     if construct == "cyclic":
-        return grouptheory.FiniteGroup.cyclic(_at_least(data, "n", 1))
+        n = p["n"].int(1)
+        factors.append((n,))
+        return lambda: grouptheory.FiniteGroup.cyclic(n)
     if construct == "symmetric":
-        return grouptheory.FiniteGroup.symmetric(_at_least(data, "n", 0))
+        n = p["n"].int(0)
+        factors.append(range(2, n + 1))
+        return lambda: grouptheory.FiniteGroup.symmetric(n)
     if construct == "product":
-        factors = [_group_from_json(f) for f in data["factors"]]
-        if not factors:
-            raise ValidationError("factors: a product needs at least one factor")
-        g = factors[0]
-        for f in factors[1:]:
-            g = grouptheory.FiniteGroup.direct_product(g, f)
-        return g
-    return grouptheory.FiniteGroup.from_json(data)
+        builds = [_group_reader(f, factors) for f in p["factors"].list()]
+        if not builds:
+            raise p["factors"].error("a product needs at least one factor")
+        return lambda: functools.reduce(grouptheory.FiniteGroup.direct_product, (b() for b in builds))
+    if construct is not None:
+        raise p["construct"].expected('"cyclic", "symmetric" or "product"')
+    n, name = len(p["table"]), p.get("name", "G")
+    table = p["table"].rows((n,) * n)
+    if type(name.value) is not str:
+        raise name.expected("a string")
+    factors.append((n,))
+    return lambda: grouptheory.FiniteGroup.from_json({"table": table, "name": name.value})
+
+
+def _group_from_json(p: Payload, req: Payload) -> grouptheory.FiniteGroup:
+    """The group of `p`, its order checked against the budget before any
+    multiplication table is built."""
+    factors = []
+    build = _group_reader(p, factors)
+    _fit(req, p, "a group of {} elements", itertools.chain.from_iterable(factors))
+    return build()
 
 
 def _table_to_json(t: grouptheory.CharacterTable) -> dict:
@@ -121,20 +142,20 @@ def _table_to_json(t: grouptheory.CharacterTable) -> dict:
 
 
 # ---------------------------------------------------------------------------
-# handlers
+# handlers: each reads its request through the Payload `req`
 
 
 def _cmd_lang_compile(req):
-    if "congruence" in req:
+    if "congruence" in req.value:
         return dfa_to_json(compile_congruence(congruence_from_json(req["congruence"])))
-    alphabet = tuple(symbol_from_json(s) for s in require_list(req["alphabet"], "alphabet"))
+    alphabet = req["alphabet"].symbols()
     dfa = compile_ordered(expr_from_json(req["expr"]), alphabet)
     return dfa_to_json(dfa)
 
 
 def _cmd_lang_member(req):
     dfa = dfa_from_json(req["dfa"])
-    word = tuple(symbol_from_json(s) for s in require_list(req["word"], "word"))
+    word = req["word"].symbols()
     return membership(dfa, word)
 
 
@@ -142,10 +163,7 @@ def _cmd_lang_enum(req):
     dfa = dfa_from_json(req["dfa"])
     norm = _norm_from_json(req.get("norm"), dfa.alphabet)
     bound = req["bound"]
-    if isinstance(bound, list):
-        bound = tuple(require_int(b, "bound", 0) for b in bound)
-    else:
-        bound = require_int(bound, "bound", 0)
+    bound = bound.ints(0) if type(bound.value) is list else bound.int(0)
     words = enumerate_by_norm(dfa, norm, bound)
     return [[symbol_to_json(s) for s in w] for w in words]
 
@@ -161,10 +179,10 @@ def _cmd_genfun_series(req):
 
 
 def _cmd_genfun_closed(req):
-    if "quasi" in req:
+    if "quasi" in req.value:
         F = quasi_ordered_genfun(quasi_from_json(req["quasi"]))
     else:
-        alphabet = tuple(symbol_from_json(s) for s in require_list(req["alphabet"], "alphabet"))
+        alphabet = req["alphabet"].symbols()
         norm = _norm_from_json(req.get("norm"), alphabet)
         F = ordered_genfun(expr_from_json(req["expr"]), alphabet, norm)
     return F.to_json()
@@ -173,17 +191,19 @@ def _cmd_genfun_closed(req):
 def _cmd_genfun_translate(req):
     F = FactoredRational.from_json(req["rational"])
     root_order = req.get("root_order")
-    if root_order is not None:
-        require_int(root_order, "root_order", 1)
-    out = F.translate([require_int(k, "exponents") for k in req["exponents"]], root_order)
+    root_order = None if root_order.value is None else root_order.int(1)
+    out = F.translate(req["exponents"].ints(), root_order)
     return out.to_json()
 
 
 def _cmd_genfun_filter(req):
     F = FactoredRational.from_json(req["rational"])
-    group = AbelianGroup(tuple(require_int(n, "orders", 1) for n in req["orders"]))
-    psi = [tuple(require_int(x, "psi") for x in v) for v in req["psi"]]
-    target = [tuple(require_int(x, "target") for x in t) for t in req["target"]]
+    group = AbelianGroup(req["orders"].ints(1))
+    psi = req["psi"].rows(group.orders)
+    target = req["target"].rows(group.orders)
+    for i, t in enumerate(target):
+        if t in target[:i]:
+            raise req["target"].list()[i].error(f"element {list(t)} is repeated")
     return congruence_filter(F, psi, group, target).to_json()
 
 
@@ -207,67 +227,69 @@ def _cmd_poset_minimal(req):
 
 def _cmd_poset_ideal(req):
     x = WeightedWord.from_json(req["x"])
-    letters = tuple(require_list(req["letters"], "letters")) if "letters" in req else None
-    q = principal_ideal_language(x, letters=letters, reduced_stars=_flag(req, "reduced_stars"))
+    letters = req["letters"].strings() if "letters" in req.value else None
+    q = principal_ideal_language(x, letters=letters, reduced_stars=req.get("reduced_stars", False).bool())
     return quasi_to_json(q)
 
 
 def _cmd_poset_series(req):
-    group = AbelianGroup(tuple(require_int(n, "orders", 1) for n in req["orders"]))
-    weights = [tuple(require_int(x, "weights") for x in w) for w in req["weights"]]
+    group = AbelianGroup(req["orders"].ints(1))
+    weights = req["weights"].rows(group.orders)
     # the closed form is expanded at every exponent of the series box
-    bound = _at_least(req, "degree", 0, 5)
-    _fit_box(req, (bound,) * group.size)
+    degree = req.get("degree", 5)
+    bound = degree.int(0)
+    _fit(req, degree, "a series box of {} exponents", (bound + 1 for _ in range(group.size)) if bound else ())
     series, closed = wordposet.fws_principal_series(weights, group, bound)
     return {"series": series.to_json(), "closed": closed.to_json()}
 
 
 def _cmd_group_table(req):
-    group = _group_from_json(req["group"])
+    group = _group_from_json(req["group"], req)
     return _table_to_json(grouptheory.character_table(group))
 
 
 def _cmd_group_restrict(req):
-    G = _group_from_json(req["group"])
-    H = _group_from_json(req["subgroup"])
-    emb = tuple(require_int(x, "embedding") for x in req["embedding"])
-    return grouptheory.restriction_matrix(G, H, emb)
+    G = _group_from_json(req["group"], req)
+    H = _group_from_json(req["subgroup"], req)
+    return grouptheory.restriction_matrix(G, H, req["embedding"].ints(0, G.order))
 
 
 def _cmd_group_good(req):
-    G = _group_from_json(req["group"])
-    if _flag(req, "young"):
+    G = _group_from_json(req["group"], req)
+    young = req.get("young", False)
+    if young.bool():
         if G.kind[0] != "symmetric":
-            raise ValidationError(f"young: Young subgroups need a symmetric group, got {G.name}")
+            raise young.error(f"Young subgroups need a symmetric group, got {G.name}")
         fam = [(H, emb) for _, H, emb in grouptheory.young_subgroups(G.kind[1], G)]
     else:
         fam = [
-            (_group_from_json(s["group"]), tuple(require_int(x, "embedding") for x in s["embedding"]))
-            for s in req["subgroups"]
+            (_group_from_json(s["group"], req), s["embedding"].ints(0, G.order))
+            for s in req["subgroups"].list()
         ]
-    return grouptheory.is_good_family(G, fam, covering_only=_flag(req, "covering"))
+    return grouptheory.is_good_family(G, fam, covering_only=req.get("covering", False).bool())
 
 
 def _wreath_table(req) -> grouptheory.CharacterTable:
-    return grouptheory.character_table(_group_from_json(req["group"]))
+    return grouptheory.character_table(_group_from_json(req["group"], req))
 
 
-def _label(req, field: str) -> tuple:
-    """A wreath label: one partition, a list of positive parts, per irreducible."""
-    return tuple(tuple(require_int(x, field, 1) for x in p) for p in req[field])
+def _label_from_json(p: Payload, table: grouptheory.CharacterTable) -> tuple:
+    """A wreath label: one partition, a list of positive parts, per
+    irreducible of the table."""
+    return tuple(part.ints(1) for part in p.list(len(table.rows)))
 
 
 def _cmd_wreath_classes(req):
     table = _wreath_table(req)
     out = []
-    for label, size in wreath.wreath_classes(table, _at_least(req, "n", 0)):
+    for label, size in wreath.wreath_classes(table, req["n"].int(0)):
         out.append({"label": [list(p) for p in label], "size": size})
     return out
 
 
 def _cmd_wreath_char(req):
     table = _wreath_table(req)
-    lam = _label(req, "lambda")
+    lam = _label_from_json(req["lambda"], table)
     chi = wreath.wreath_irreducible_character(table, lam)
     values = []
     for label, size in wreath.wreath_classes(table, wreath.label_size(lam)):
@@ -279,28 +301,22 @@ def _cmd_wreath_char(req):
 
 def _cmd_wreath_stability(req):
     table = _wreath_table(req)
-    lam, mu, nu = (_label(req, k) for k in ("lambda", "mu", "nu"))
-    lo, hi = (require_int(n, "n_range", 0) for n in req["n_range"])
+    lam, mu, nu = (_label_from_json(req[k], table) for k in ("lambda", "mu", "nu"))
+    lo, hi = (n.int(0) for n in req["n_range"].list(2))
     return wreath.tensor_stability_table(table, lam, mu, nu, range(lo, hi + 1))
 
 
 def _cmd_wreath_hilbert(req):
     table = _wreath_table(req)
-    index = _at_least(req, "index", 0)
+    index = req["index"].int(0)
     # F has one variable per irreducible; an oversized box is refused before F,
     # which is itself slow to build for large groups, is built
-    bound = _degree(req, len(table.rows)) if "degree" in req else None
+    bound = _degree(req, len(table.rows)) if "degree" in req.value else None
     F = wreath.diag_induced_series(table, index)
     out = {"closed": F.to_json()}
     if bound is not None:
         out["series"] = F.expand(bound).to_json()
     return out
-
-
-def _budget(req) -> int:
-    """The budget of an exponential construction (also the --budget flag):
-    the simplices of a Segre product, or the exponents of a series box."""
-    return _at_least(req, "budget", 0, segre.DEFAULT_SIMPLEX_BUDGET)
 
 
 def _cmd_segre_product(req):
@@ -311,20 +327,26 @@ def _cmd_segre_product(req):
 
 def _cmd_segre_homology(req):
     x = segre.SimplicialComplex.from_json(req["complex"])
-    i_max = _at_least(req, "i_max", 0, x.dim)
+    i_max = req["i_max"].int(0) if "i_max" in req.value else x.dim
     data = segre.homology_ranks(x, i_max)
     return {"ranks": {str(k): v for k, v in sorted(data.ranks.items())}}
 
 
 def _cmd_segre_series(req):
     x = segre.SimplicialComplex.from_json(req["complex"])
-    group = _group_from_json(req["group"])
-    table = grouptheory.character_table(group)
-    fix = segre.SimplicialComplex.vertex_from_json
-    maps = [{fix(k): fix(v) for k, v in perm} for perm in req["action"]]
+    table = _wreath_table(req)
+    vertices = set(x.vertices)
+
+    def vertex(p: Payload):
+        v = p.symbol()
+        if v not in vertices:
+            raise p.expected("a vertex of the complex")
+        return v
+
+    maps = [perm.pairs(vertex, vertex, "vertex") for perm in req["action"].list()]
     action = segre.GroupAction(table, x, maps)
-    nmax = _at_least(req, "nmax", 1, 2)
-    data = segre.equivariant_hilbert_data(action, _at_least(req, "i", 0), nmax, _budget(req))
+    nmax = req.get("nmax", 2).int(1)
+    data = segre.equivariant_hilbert_data(action, req["i"].int(0), nmax, _budget(req))
     return [
         [[list(content), mult] for content, mult in sorted(poly.items())] for poly in data
     ]
@@ -358,7 +380,12 @@ HANDLERS = {
 
 
 def execute_request(request: dict) -> dict:
-    """Dispatch a request dict; never raises for domain errors."""
+    """Dispatch a request dict; never raises for domain errors.
+
+    A malformed payload is answered with a path-named `ValidationError` (see
+    the module docstring).  The "bad request: ..." answer to a KeyError,
+    TypeError, ValueError, ZeroDivisionError or RecursionError is only a
+    backstop for a defect, not part of the contract."""
     if not isinstance(request, dict):
         return {"status": "error", "diagnostics": ["ValidationError: request must be a JSON object"]}
     cmd = request.get("cmd")
@@ -366,7 +393,7 @@ def execute_request(request: dict) -> dict:
     if handler is None:
         return {"status": "error", "diagnostics": [f"unknown subcommand {cmd!r}"]}
     try:
-        result = handler(request)
+        result = handler(Payload(request))
     except QuasilangError as exc:
         return {"status": "error", "diagnostics": [f"{type(exc).__name__}: {exc}"]}
     except (KeyError, TypeError, ValueError, ZeroDivisionError, RecursionError) as exc:
@@ -385,7 +412,7 @@ def main(argv=None) -> int:
     parser.add_argument("--out", dest="outfile", help="output file (default stdout)")
     parser.add_argument("--degree", type=int, help="cap series degree")
     parser.add_argument("--nmax", type=int, help="cap iterated powers")
-    parser.add_argument("--budget", type=int, help="cap simplex counts and series box sizes")
+    parser.add_argument("--budget", type=int, help="cap simplex counts, series box sizes and group orders")
     args = parser.parse_args(argv)
     if args.infile:
         with open(args.infile, "r", encoding="utf-8") as fh:

@@ -23,7 +23,7 @@ from fractions import Fraction
 from functools import lru_cache
 from math import gcd, lcm
 
-from .errors import ValidationError, require_int
+from .errors import Payload, ValidationError
 
 
 @lru_cache(maxsize=None)
@@ -368,7 +368,6 @@ def cyclotomic_to_json(c: CyclotomicNumber | int) -> list:
 
 
 def cyclotomic_from_json(data) -> CyclotomicNumber:
-    if not isinstance(data, (list, tuple)) or len(data) != 2:
-        raise ValidationError(f"bad cyclotomic JSON: {data!r}")
-    order, coeffs = data
-    return CyclotomicNumber(require_int(order, "order"), [Fraction(str(x)) for x in coeffs])
+    """[N, coordinates], each coordinate an int or a "p/q" string."""
+    order, coeffs = Payload.of(data, "cyclotomic").list(2)
+    return CyclotomicNumber(order.int(1), coeffs.rationals())

@@ -22,7 +22,7 @@ from .cyclotomic import (
     cyclotomic_from_json,
     cyclotomic_to_json,
 )
-from .errors import AmbiguousExpressionError, ValidationError, require_int, require_ints
+from .errors import AmbiguousExpressionError, Payload, ValidationError
 from .langkit import (
     AbelianGroup,
     Concat,
@@ -442,25 +442,15 @@ class FactoredRational:
         }
 
     @classmethod
-    def from_json(cls, data: dict) -> "FactoredRational":
-        nvars = require_int(data["nvars"], "nvars", 0)
-        numerator = {}
-        for e, c in data["numerator"]:
-            e = require_ints(e, "numerator", 0)
-            if e in numerator:
-                raise ValidationError(f"numerator: exponent {list(e)} is repeated")
-            numerator[e] = cyclotomic_from_json(c)
-        factors = []
-        for terms in data["factors"]:
-            form = {}
-            for v, c in terms:
-                if require_int(v, "factors", 0) >= nvars:
-                    raise ValidationError(f"factors: variable {v} is out of range for nvars {nvars}")
-                if v in form:
-                    raise ValidationError(f"factors: variable {v} is repeated in one factor")
-                form[v] = cyclotomic_from_json(c)
-            factors.append(LinearForm(form))
-        order = require_int(data["order"], "order", 1)
+    def from_json(cls, data) -> "FactoredRational":
+        p = Payload.of(data, "rational")
+        nvars = p["nvars"].int(0)
+        numerator = p["numerator"].pairs(lambda e: e.ints(0), cyclotomic_from_json, "exponent")
+        factors = [
+            LinearForm(terms.pairs(lambda v: v.int(0, nvars), cyclotomic_from_json, "variable"))
+            for terms in p["factors"].list()
+        ]
+        order = p["order"].int(1)
         numerator = {e: c.lift(order) for e, c in numerator.items() if not c.is_zero()}
         den = lcm(*(c._den for c in numerator.values()))
         num = [{} for _ in range(_field(order)[0])]
@@ -520,9 +510,10 @@ class SeriesTruncation:
         }
 
     @classmethod
-    def from_json(cls, data: dict) -> "SeriesTruncation":
-        coeffs = {tuple(e): cyclotomic_from_json(c) for e, c in data["coefficients"]}
-        return cls(require_int(data["order"], "order", 1), tuple(data["bound"]), coeffs)
+    def from_json(cls, data) -> "SeriesTruncation":
+        p = Payload.of(data, "series")
+        coeffs = p["coefficients"].pairs(lambda e: e.ints(0), cyclotomic_from_json, "exponent")
+        return cls(p["order"].int(1), p["bound"].ints(0), coeffs)
 
 
 # ---------------------------------------------------------------------------
@@ -718,9 +709,12 @@ def congruence_filter(F: FactoredRational, psi, group: AbelianGroup, target) -> 
     psi = list(psi)
     if len(psi) != F.nvars:
         raise ValidationError("psi must assign a group element to every variable")
-    for g in psi:
+    target = list(target)
+    for g in psi + target:
         if not group.contains(g):
             raise ValidationError(f"{g!r} is not an element of the group")
+    if len(set(target)) != len(target):
+        raise ValidationError("target elements must be distinct")
     n_mod = group.exponent
     size = group.size
     result = FactoredRational.zero(F.nvars)

@@ -9,11 +9,15 @@ import itertools
 from dataclasses import dataclass
 from math import gcd, lcm, prod
 
-from .errors import ValidationError, require_int, require_ints, require_list
+from .errors import Payload, ValidationError
 
 
 # ---------------------------------------------------------------------------
 # finite abelian groups as products of cyclic groups
+
+
+def _add_mod(x: int, y: int, n: int) -> int:
+    return (x + y) % n
 
 
 @dataclass(frozen=True)
@@ -23,7 +27,7 @@ class AbelianGroup:
     orders: tuple[int, ...]
 
     def __post_init__(self):
-        if any(n < 1 for n in self.orders):
+        if min(self.orders, default=1) < 1:
             raise ValidationError(f"cyclic orders must be positive: {self.orders}")
 
     @property
@@ -52,7 +56,8 @@ class AbelianGroup:
         )
 
     def add(self, a, b) -> tuple[int, ...]:
-        return tuple((x + y) % n for x, y, n in zip(a, b, self.orders))
+        # mapped rather than a generator: the witness search adds at every step
+        return tuple(map(_add_mod, a, b, self.orders))
 
     def neg(self, a) -> tuple[int, ...]:
         return tuple((-x) % n for x, n in zip(a, self.orders))
@@ -198,14 +203,14 @@ class Dfa:
 
     def __init__(self, alphabet, delta, start: int, accepting):
         self.alphabet = tuple(alphabet)
-        self.delta = tuple(tuple(row) for row in delta)
+        self.delta = tuple(map(tuple, delta))
         self.start = start
         self.accepting = frozenset(accepting)
         self._sym_index = {s: i for i, s in enumerate(self.alphabet)}
         if len(self._sym_index) != len(self.alphabet):
             raise ValidationError("alphabet symbols must be distinct")
         n, targets = len(self.delta), set(itertools.chain.from_iterable(self.delta))
-        if any(len(row) != len(self.alphabet) for row in self.delta) or not targets <= set(range(n)):
+        if set(map(len, self.delta)) - {len(self.alphabet)} or not targets <= set(range(n)):
             raise ValidationError("transition table is not total over the state set")
         if not (0 <= start < n) or any(a not in range(n) for a in self.accepting):
             raise ValidationError("start/accepting states out of range")
@@ -487,12 +492,6 @@ def symbol_to_json(sym):
     return sym
 
 
-def symbol_from_json(data):
-    if isinstance(data, list):
-        return tuple(symbol_from_json(x) for x in data)
-    return data
-
-
 def expr_to_json(expr) -> dict:
     if isinstance(expr, Empty):
         return {"kind": "empty"}
@@ -509,23 +508,34 @@ def expr_to_json(expr) -> dict:
     raise ValidationError(f"not a language expression: {expr!r}")
 
 
-def expr_from_json(data: dict):
-    if not isinstance(data, dict):
-        raise ValidationError(f"expression node must be an object, got {type(data).__name__}")
-    kind = data.get("kind")
-    if kind == "empty":
-        return Empty()
-    if kind == "epsilon":
-        return Epsilon()
-    if kind == "symbol":
-        return Sym(symbol_from_json(data["symbol"]))
-    if kind == "star":
-        return Star(tuple(symbol_from_json(s) for s in require_list(data["symbols"], "symbols")))
-    if kind == "union":
-        return Union(tuple(expr_from_json(p) for p in data["parts"]))
-    if kind == "concat":
-        return Concat(tuple(expr_from_json(p) for p in data["parts"]))
-    raise ValidationError(f"unknown expression kind {kind!r}")
+_LEAVES = {
+    "empty": lambda node: Empty(),
+    "epsilon": lambda node: Epsilon(),
+    "symbol": lambda node: Sym(node["symbol"].symbol()),
+    "star": lambda node: Star(node["symbols"].symbols()),
+}
+
+
+def expr_from_json(data):
+    """An expression from its JSON form.  Union and concat nodes are read on
+    an explicit stack of (node class, part readers, parts built so far)
+    frames, so the payload's nesting limit bounds the depth."""
+    stack = [(None, iter([Payload.of(data, "expr")]), [])]
+    while True:
+        cls, parts, built = stack[-1]
+        for node in parts:
+            kind = node["kind"]
+            if kind.value == "union" or kind.value == "concat":
+                stack.append((Union if kind.value == "union" else Concat, iter(node["parts"].list()), []))
+                break
+            if type(kind.value) is not str or kind.value not in _LEAVES:
+                raise kind.expected('one of "empty", "epsilon", "symbol", "star", "union", "concat"')
+            built.append(_LEAVES[kind.value](node))
+        else:
+            stack.pop()
+            if cls is None:
+                return built[0]
+            stack[-1][2].append(cls(tuple(built)))
 
 
 def dfa_to_json(dfa: Dfa) -> dict:
@@ -537,15 +547,11 @@ def dfa_to_json(dfa: Dfa) -> dict:
     }
 
 
-def dfa_from_json(data: dict) -> Dfa:
-    delta = data["delta"]
-    require_ints(itertools.chain.from_iterable(delta), "delta")
-    return Dfa(
-        tuple(symbol_from_json(s) for s in require_list(data["alphabet"], "alphabet")),
-        delta,
-        require_int(data["start"], "start"),
-        set(require_ints(data["accepting"], "accepting")),
-    )
+def dfa_from_json(data) -> Dfa:
+    p = Payload.of(data, "dfa")
+    alphabet, delta = p["alphabet"].symbols(), p["delta"]
+    n = len(delta)
+    return Dfa(alphabet, delta.rows((n,) * len(alphabet)), p["start"].int(0, n), p["accepting"].ints(0, n))
 
 
 def congruence_to_json(spec: CongruenceSpec) -> dict:
@@ -557,29 +563,18 @@ def congruence_to_json(spec: CongruenceSpec) -> dict:
     }
 
 
-def symbol_map_from_json(pairs, field: str) -> dict:
-    """{symbol: v} from a list of [symbol, v] pairs; a repeated symbol is a
-    ValidationError that names `field`."""
-    out = {}
-    for s, v in pairs:
-        s = symbol_from_json(s)
-        if s in out:
-            raise ValidationError(f"{field}: symbol {symbol_to_json(s)!r} is repeated")
-        out[s] = v
-    return out
-
-
-def congruence_from_json(data: dict) -> CongruenceSpec:
-    group = AbelianGroup(tuple(require_int(n, "orders", 1) for n in data["orders"]))
-    phi = {s: require_ints(v, "phi") for s, v in symbol_map_from_json(data["phi"], "phi").items()}
-    target = {require_ints(t, "target") for t in data["target"]}
-    alphabet = tuple(symbol_from_json(s) for s in require_list(data["alphabet"], "alphabet"))
-    return CongruenceSpec(group, phi, target, alphabet)
+def congruence_from_json(data) -> CongruenceSpec:
+    p = Payload.of(data, "congruence")
+    group = AbelianGroup(p["orders"].ints(1))
+    phi = p["phi"].pairs(Payload.symbol, lambda v: v.row(group.orders), "symbol")
+    target = p["target"].rows(group.orders)
+    return CongruenceSpec(group, phi, target, p["alphabet"].symbols())
 
 
 def quasi_to_json(q: QuasiOrderedExpr) -> dict:
     return {"ordered": expr_to_json(q.ordered), "congruence": congruence_to_json(q.cong)}
 
 
-def quasi_from_json(data: dict) -> QuasiOrderedExpr:
-    return QuasiOrderedExpr(expr_from_json(data["ordered"]), congruence_from_json(data["congruence"]))
+def quasi_from_json(data) -> QuasiOrderedExpr:
+    p = Payload.of(data, "quasi")
+    return QuasiOrderedExpr(expr_from_json(p["ordered"]), congruence_from_json(p["congruence"]))

@@ -17,7 +17,7 @@ import operator
 from fractions import Fraction
 
 from .cyclotomic import CyclotomicNumber
-from .errors import ValidationError
+from .errors import Payload, ValidationError
 from .grouptheory import CharacterTable
 
 DEFAULT_SIMPLEX_BUDGET = 200_000
@@ -69,18 +69,22 @@ class SimplicialComplex:
             ],
         }
 
-    @staticmethod
-    def vertex_from_json(v):
-        """A vertex read from JSON: a list, at any depth, is a tuple vertex.
-        A list without nested lists converts with no call per coordinate."""
-        if not isinstance(v, list):
-            return v
-        return tuple(map(SimplicialComplex.vertex_from_json, v)) if list in map(type, v) else tuple(v)
-
     @classmethod
-    def from_json(cls, data: dict) -> "SimplicialComplex":
-        fix = cls.vertex_from_json
-        return cls([fix(v) for v in data["vertices"]], [[fix(x) for x in f] for f in data["facets"]])
+    def from_json(cls, data) -> "SimplicialComplex":
+        """Vertices are strings, ints or lists of vertices (tuple vertices, as
+        a Segre product has), mutually comparable; facets list vertices."""
+        p = Payload.of(data, "complex")
+        vertices = p["vertices"].symbols()
+        try:
+            vset = set(sorted(vertices))
+        except TypeError:
+            raise p["vertices"].error("vertices must be mutually comparable") from None
+        facets = p["facets"].symbols()
+        if not set(map(type, facets)) <= {tuple} or not vset.issuperset(itertools.chain.from_iterable(facets)):
+            i = next(i for i, f in enumerate(facets) if type(f) is not tuple or not vset.issuperset(f))
+            entries = p["facets"].list()[i].list()
+            raise next(e for e in entries if e.symbol() not in vset).expected("a vertex of the complex")
+        return cls(vertices, facets)
 
 
 def segre_product(*factors: SimplicialComplex, budget: int = DEFAULT_SIMPLEX_BUDGET) -> SimplicialComplex:

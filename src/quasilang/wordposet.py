@@ -16,7 +16,7 @@ from fractions import Fraction
 from functools import lru_cache
 
 from .cyclotomic import CyclotomicNumber
-from .errors import NoWitnessError, PreconditionError, ValidationError, require_int, require_list
+from .errors import NoWitnessError, Payload, PreconditionError, ValidationError
 from .genfun import FactoredRational, LinearForm, SeriesTruncation
 from .langkit import (
     AbelianGroup,
@@ -41,7 +41,8 @@ class WeightedWord:
     def __post_init__(self):
         if len(self.letters) != len(self.weights):
             raise ValidationError("letters and weights must have equal length")
-        for w in self.weights:
+        # each distinct weight once: a word repeats the few elements of its group
+        for w in dict.fromkeys(self.weights):
             if not self.group.contains(w):
                 raise ValidationError(f"weight {w!r} is not an element of the group")
 
@@ -73,13 +74,10 @@ class WeightedWord:
         }
 
     @classmethod
-    def from_json(cls, data: dict) -> "WeightedWord":
-        group = AbelianGroup(tuple(require_int(n, "orders", 1) for n in data["orders"]))
-        return cls(
-            tuple(require_list(data["letters"], "letters")),
-            tuple(tuple(require_int(x, "weights") for x in w) for w in data["weights"]),
-            group,
-        )
+    def from_json(cls, data) -> "WeightedWord":
+        p = Payload.of(data, "word")
+        group = AbelianGroup(p["orders"].ints(1))
+        return cls(p["letters"].strings(), p["weights"].rows(group.orders), group)
 
 
 @dataclass(frozen=True)

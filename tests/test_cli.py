@@ -5,6 +5,8 @@ import sys
 import time
 
 from quasilang.cli import dumps, execute_request, main
+from quasilang.cyclotomic import cyclotomic_from_json
+from quasilang.errors import MAX_DEPTH
 from quasilang.wordposet import OrderedSurjection, WeightedWord, validate_witness
 
 
@@ -144,11 +146,15 @@ def test_payloads_that_are_not_objects_are_rejected():
     for request in ([], [{"cmd": "group.table"}], "group.table", 3, None):
         resp = run(request)
         assert resp == {"status": "error", "diagnostics": ["ValidationError: request must be a JSON object"]}
-    for expr in ("a", ["a"], 1, {"kind": "union", "parts": "ab"}):
+    for expr, expected in [
+        ("a", "expr must be a JSON object, got str"),
+        (["a"], "expr must be a JSON object, got list"),
+        (1, "expr must be a JSON object, got int"),
+        ({"kind": "union", "parts": "ab"}, "expr.parts must be a list, got str"),
+        ({"kind": "concat", "parts": [{"kind": "epsilon"}, "b"]}, "expr.parts[1] must be a JSON object, got str"),
+    ]:
         resp = run({"cmd": "lang.compile", "expr": expr, "alphabet": ["a"]})
-        assert resp["status"] == "error", expr
-        (message,) = resp["diagnostics"]
-        assert message.startswith("ValidationError: expression node must be an object"), message
+        assert resp == {"status": "error", "diagnostics": ["ValidationError: " + expected]}, expr
     assert run({"cmd": ["group.table"]})["diagnostics"] == ["unknown subcommand ['group.table']"]
 
 
@@ -160,16 +166,14 @@ def test_cli_rejects_a_payload_that_is_not_an_object(tmp_path):
 
 
 def test_group_table_entries_out_of_range_are_rejected():
-    for table in (
-        [[0, 1, 2], [1, 0, 5], [2, 5, 0]],
-        [[0, 1, 2], [1, 2, -3], [2, -3, 1]],
-        [[0, 1.0], [1, 0]],
-        [[0, True], [1, 0]],
-    ):
+    for table, expected in [
+        ([[0, 1, 2], [1, 0, 5], [2, 5, 0]], "group.table[1][2] must lie in range(3), got 5"),
+        ([[0, 1, 2], [1, 2, -3], [2, -3, 1]], "group.table[1][2] must lie in range(3), got -3"),
+        ([[0, 1.0], [1, 0]], "group.table[0][1] must be an integer, got 1.0"),
+        ([[0, True], [1, 0]], "group.table[0][1] must be an integer, got True"),
+    ]:
         resp = run({"cmd": "group.table", "group": {"table": table}})
-        assert resp["status"] == "error", table
-        (message,) = resp["diagnostics"]
-        assert message.startswith("ValidationError: multiplication table entries"), message
+        assert resp == {"status": "error", "diagnostics": ["ValidationError: " + expected]}, table
     assert run({"cmd": "group.table", "group": {"table": [[0, 1], [1, 0]]}})["status"] == "ok"
 
 
@@ -303,11 +307,11 @@ def test_series_degree_is_validated():
             ([2], "ValidationError: degree must have 2 entries, got 1"),
             ([2, 2, 2], "ValidationError: degree must have 2 entries, got 3"),
             (-1, "ValidationError: degree must be at least 0, got -1"),
-            ([2, -1], "ValidationError: degree must be at least 0, got -1"),
+            ([2, -1], "ValidationError: degree[1] must be at least 0, got -1"),
             (2.7, "ValidationError: degree must be an integer, got 2.7"),
             (True, "ValidationError: degree must be an integer, got True"),
             ("3", "ValidationError: degree must be an integer, got '3'"),
-            ([2, 2.0], "ValidationError: degree must be an integer, got 2.0"),
+            ([2, 2.0], "ValidationError: degree[1] must be an integer, got 2.0"),
         ]:
             assert run(dict(base, degree=degree)) == {"status": "error", "diagnostics": [expected]}, (base, degree)
         assert run(dict(base, degree=[2, 0]))["result"]["bound"] == [2, 0]
@@ -373,19 +377,34 @@ def test_segre_product_with_nested_tuple_vertices_reads_back():
 
 
 def test_deeply_nested_payloads_are_answered():
-    """Decoding a vertex or an expression recurses once per level; a payload
-    nested past the recursion limit is an error response, not an exception."""
+    """Vertices, symbols and expressions are decoded on explicit stacks; a
+    payload nested past the payload nesting limit is refused at its path."""
     vertex, expr = 1, {"kind": "epsilon"}
     for _ in range(3000):
         vertex, expr = [vertex], {"kind": "concat", "parts": [expr]}
-    for req in (
-        {"cmd": "segre.homology", "complex": {"vertices": [vertex], "facets": [[vertex]]}},
-        {"cmd": "lang.compile", "expr": expr, "alphabet": ["a"]},
+    symbol = {"kind": "symbol", "symbol": vertex}
+    for req, path in (
+        ({"cmd": "segre.homology", "complex": {"vertices": [vertex], "facets": [[vertex]]}}, "complex.vertices[0]"),
+        ({"cmd": "lang.compile", "expr": expr, "alphabet": ["a"]}, "expr.parts[0]"),
+        ({"cmd": "lang.compile", "expr": symbol, "alphabet": ["a"]}, "expr.symbol[0]"),
+        ({"cmd": "lang.member", "dfa": {"alphabet": [vertex]}, "word": []}, "dfa.alphabet[0][0]"),
     ):
         resp = run(req)
         assert resp["status"] == "error"
         (message,) = resp["diagnostics"]
-        assert message.startswith("bad request: RecursionError"), message
+        assert message.startswith("ValidationError: " + path), message
+        assert message.endswith(f" nests deeper than {MAX_DEPTH} levels"), message
+    # a value too deep to print is named by its type
+    z2 = {"construct": "cyclic", "n": 2}
+    assert run({"cmd": "wreath.classes", "group": z2, "n": vertex}) == {
+        "status": "error", "diagnostics": ["ValidationError: n must be an integer, got list"]
+    }
+    # a vertex of a Segre power gains one level per product, far below the limit
+    a, b = 1, 2
+    for _ in range(MAX_DEPTH // 2):
+        a, b = [a, 1], [b, 1]
+    edge = {"vertices": [a, b], "facets": [[a, b]]}
+    assert run({"cmd": "segre.homology", "complex": edge})["result"] == {"ranks": {"0": 1, "1": 0}}
 
 
 def test_group_and_wreath_integers_are_not_coerced():
@@ -395,15 +414,15 @@ def test_group_and_wreath_integers_are_not_coerced():
         ({"cmd": "wreath.classes", "group": z2, "n": -1}, "ValidationError: n must be at least 0, got -1"),
         (
             {"cmd": "group.table", "group": {"construct": "cyclic", "n": "3"}},
-            "ValidationError: n must be an integer, got '3'",
+            "ValidationError: group.n must be an integer, got '3'",
         ),
         (
             {"cmd": "group.table", "group": {"construct": "cyclic", "n": 0}},
-            "ValidationError: n must be at least 1, got 0",
+            "ValidationError: group.n must be at least 1, got 0",
         ),
         (
             {"cmd": "group.table", "group": {"construct": "symmetric", "n": 3.0}},
-            "ValidationError: n must be an integer, got 3.0",
+            "ValidationError: group.n must be an integer, got 3.0",
         ),
         ({"cmd": "wreath.hilbert", "group": z2, "index": "0"}, "ValidationError: index must be an integer, got '0'"),
         ({"cmd": "wreath.hilbert", "group": z2, "index": 2}, "ValidationError: index must lie in range(2), got 2"),
@@ -424,20 +443,20 @@ def test_malformed_group_payloads_are_rejected():
     for req, expected in [
         (
             {"cmd": "group.table", "group": {"construct": "product", "factors": []}},
-            "ValidationError: factors: a product needs at least one factor",
+            "ValidationError: group.factors: a product needs at least one factor",
         ),
         ({"cmd": "group.table", "group": [[0]]}, "ValidationError: group must be a JSON object, got list"),
         (
             {"cmd": "group.restrict", "group": z2, "subgroup": trivial, "embedding": [5]},
-            "ValidationError: embedding entries must lie in range(2)",
+            "ValidationError: embedding[0] must lie in range(2), got 5",
         ),
         (
             {"cmd": "group.restrict", "group": z2, "subgroup": trivial, "embedding": [-1]},
-            "ValidationError: embedding entries must lie in range(2)",
+            "ValidationError: embedding[0] must lie in range(2), got -1",
         ),
         (
             {"cmd": "group.table", "group": {"construct": "symmetric", "n": -1}},
-            "ValidationError: n must be at least 0, got -1",
+            "ValidationError: group.n must be at least 0, got -1",
         ),
     ]:
         assert run(req) == {"status": "error", "diagnostics": [expected]}, req
@@ -469,33 +488,33 @@ def test_integer_fields_are_not_coerced():
     expand = {"cmd": "genfun.expand", "rational": rational, "degree": 1}
     translate = {"cmd": "genfun.translate", "rational": rational, "exponents": [1, 0], "root_order": 2}
     cases = [
-        (dict(series, orders=["2"]), "orders must be an integer, got '2'"),
-        (dict(series, orders=[0]), "orders must be at least 1, got 0"),
-        (dict(series, weights=[[1.7]]), "weights must be an integer, got 1.7"),
-        (dict(restrict, embedding=["0"]), "embedding must be an integer, got '0'"),
-        (dict(good, subgroups=[{"group": trivial, "embedding": [0.0]}]), "embedding must be an integer, got 0.0"),
-        ({"cmd": "poset.leq", "x": dict(x, weights=[["1"]]), "y": y}, "weights must be an integer, got '1'"),
-        ({"cmd": "poset.leq", "x": x, "y": dict(y, orders=[True])}, "orders must be an integer, got True"),
+        (dict(series, orders=["2"]), "orders[0] must be an integer, got '2'"),
+        (dict(series, orders=[0]), "orders[0] must be at least 1, got 0"),
+        (dict(series, weights=[[1.7]]), "weights[0][0] must be an integer, got 1.7"),
+        (dict(restrict, embedding=["0"]), "embedding[0] must be an integer, got '0'"),
+        (dict(good, subgroups=[{"group": trivial, "embedding": [0.0]}]), "subgroups[0].embedding[0] must be an integer, got 0.0"),
+        ({"cmd": "poset.leq", "x": dict(x, weights=[["1"]]), "y": y}, "x.weights[0][0] must be an integer, got '1'"),
+        ({"cmd": "poset.leq", "x": x, "y": dict(y, orders=[True])}, "y.orders[0] must be an integer, got True"),
         (dict(enum, bound="2"), "bound must be an integer, got '2'"),
-        (dict(enum, bound=[1, 1.0]), "bound must be an integer, got 1.0"),
+        (dict(enum, bound=[1, 1.0]), "bound[1] must be an integer, got 1.0"),
         (dict(enum, bound=-1), "bound must be at least 0, got -1"),
-        (dict(enum, norm=dict(norm, pairs=[["a", "0"], ["b", 1]])), "pairs must be an integer, got '0'"),
-        (dict(enum, norm=dict(norm, size=2.0)), "size must be an integer, got 2.0"),
-        ({"cmd": "lang.member", "dfa": dict(dfa, start="0"), "word": []}, "start must be an integer, got '0'"),
-        (dict(stability, **{"lambda": [[], ["1"]]}), "lambda must be an integer, got '1'"),
-        (dict(stability, mu=[[], [0]]), "mu must be at least 1, got 0"),
-        (dict(stability, n_range=["2", 3.5]), "n_range must be an integer, got '2'"),
-        (dict(stability, n_range=[2, 3.5]), "n_range must be an integer, got 3.5"),
-        ({"cmd": "wreath.char", "group": z2, "lambda": [[1.0], []]}, "lambda must be an integer, got 1.0"),
-        ({"cmd": "genfun.translate", "rational": rational, "exponents": [1.5, 0]}, "exponents must be an integer, got 1.5"),
-        (dict(filt, orders=[2.0]), "orders must be an integer, got 2.0"),
-        (dict(filt, psi=[["1"], [0]]), "psi must be an integer, got '1'"),
-        (dict(filt, target=[[False]]), "target must be an integer, got False"),
-        (dict(expand, rational=dict(rational, nvars="2")), "nvars must be an integer, got '2'"),
-        (dict(expand, rational=dict(rational, nvars=1.9)), "nvars must be an integer, got 1.9"),
-        (dict(expand, rational=dict(rational, order=True)), "order must be an integer, got True"),
+        (dict(enum, norm=dict(norm, pairs=[["a", "0"], ["b", 1]])), "norm.pairs[0][1] must be an integer, got '0'"),
+        (dict(enum, norm=dict(norm, size=2.0)), "norm.size must be an integer, got 2.0"),
+        ({"cmd": "lang.member", "dfa": dict(dfa, start="0"), "word": []}, "dfa.start must be an integer, got '0'"),
+        (dict(stability, **{"lambda": [[], ["1"]]}), "lambda[1][0] must be an integer, got '1'"),
+        (dict(stability, mu=[[], [0]]), "mu[1][0] must be at least 1, got 0"),
+        (dict(stability, n_range=["2", 3.5]), "n_range[0] must be an integer, got '2'"),
+        (dict(stability, n_range=[2, 3.5]), "n_range[1] must be an integer, got 3.5"),
+        ({"cmd": "wreath.char", "group": z2, "lambda": [[1.0], []]}, "lambda[0][0] must be an integer, got 1.0"),
+        ({"cmd": "genfun.translate", "rational": rational, "exponents": [1.5, 0]}, "exponents[0] must be an integer, got 1.5"),
+        (dict(filt, orders=[2.0]), "orders[0] must be an integer, got 2.0"),
+        (dict(filt, psi=[["1"], [0]]), "psi[0][0] must be an integer, got '1'"),
+        (dict(filt, target=[[False]]), "target[0][0] must be an integer, got False"),
+        (dict(expand, rational=dict(rational, nvars="2")), "rational.nvars must be an integer, got '2'"),
+        (dict(expand, rational=dict(rational, nvars=1.9)), "rational.nvars must be an integer, got 1.9"),
+        (dict(expand, rational=dict(rational, order=True)), "rational.order must be an integer, got True"),
         (dict(expand, rational=dict(rational, numerator=[[e, [1.7, c[1]]] for e, c in rational["numerator"]])),
-         "order must be an integer, got 1.7"),
+         "rational.numerator[0][1][0] must be an integer, got 1.7"),
         (dict(translate, root_order="2"), "root_order must be an integer, got '2'"),
         (dict(translate, root_order=0), "root_order must be at least 1, got 0"),
         (dict(translate, root_order=True), "root_order must be an integer, got True"),
@@ -520,11 +539,11 @@ def test_rational_entries_are_checked():
         return dict(expand, rational={"nvars": nvars, "order": 1, "numerator": numerator, "factors": factors})
 
     cases = [
-        (rational(2, [[[0, 0], one]], [[[2, one]]]), "factors: variable 2 is out of range for nvars 2"),
-        (rational(2, [[[0, 0], one]], [[[True, one]]]), "factors must be an integer, got True"),
-        (rational(1, [[[0], one]], [[[-1, one]]]), "factors must be at least 0, got -1"),
-        (rational(1, [[[0.0], one]], [[[0, one]]]), "numerator must be an integer, got 0.0"),
-        (rational(1, [[[-1], one]], [[[0, one]]]), "numerator must be at least 0, got -1"),
+        (rational(2, [[[0, 0], one]], [[[2, one]]]), "rational.factors[0][0][0] must lie in range(2), got 2"),
+        (rational(2, [[[0, 0], one]], [[[True, one]]]), "rational.factors[0][0][0] must be an integer, got True"),
+        (rational(1, [[[0], one]], [[[-1, one]]]), "rational.factors[0][0][0] must lie in range(1), got -1"),
+        (rational(1, [[[0.0], one]], [[[0, one]]]), "rational.numerator[0][0][0] must be an integer, got 0.0"),
+        (rational(1, [[[-1], one]], [[[0, one]]]), "rational.numerator[0][0][0] must be at least 0, got -1"),
     ]
     for req, expected in cases:
         assert run(req) == {"status": "error", "diagnostics": ["ValidationError: " + expected]}, req
@@ -540,12 +559,12 @@ def test_dfa_and_congruence_entries_are_checked():
     member = {"cmd": "lang.member", "dfa": dfa, "word": ["a"]}
     congruence = {"cmd": "lang.compile", "congruence": spec}
     cases = [
-        (dict(member, dfa=dict(dfa, delta=[[0, True], [1, 1]])), "delta must be an integer, got True"),
-        (dict(member, dfa=dict(dfa, delta=[[0, 1], [1.0, 1]])), "delta must be an integer, got 1.0"),
-        (dict(member, dfa=dict(dfa, accepting=[1.0])), "accepting must be an integer, got 1.0"),
-        (dict(member, dfa=dict(dfa, accepting=[False])), "accepting must be an integer, got False"),
-        (dict(congruence, congruence=dict(spec, phi=[["a", [1.0]], ["b", [0]]])), "phi must be an integer, got 1.0"),
-        (dict(congruence, congruence=dict(spec, target=[[True]])), "target must be an integer, got True"),
+        (dict(member, dfa=dict(dfa, delta=[[0, True], [1, 1]])), "dfa.delta[0][1] must be an integer, got True"),
+        (dict(member, dfa=dict(dfa, delta=[[0, 1], [1.0, 1]])), "dfa.delta[1][0] must be an integer, got 1.0"),
+        (dict(member, dfa=dict(dfa, accepting=[1.0])), "dfa.accepting[0] must be an integer, got 1.0"),
+        (dict(member, dfa=dict(dfa, accepting=[False])), "dfa.accepting[0] must be an integer, got False"),
+        (dict(congruence, congruence=dict(spec, phi=[["a", [1.0]], ["b", [0]]])), "congruence.phi[0][1][0] must be an integer, got 1.0"),
+        (dict(congruence, congruence=dict(spec, target=[[True]])), "congruence.target[0][0] must be an integer, got True"),
     ]
     for req, expected in cases:
         assert run(req) == {"status": "error", "diagnostics": ["ValidationError: " + expected]}, req
@@ -567,8 +586,8 @@ def test_repeated_rational_entries_are_refused():
         rational = {"nvars": 1, "order": 1, "numerator": numerator, "factors": factors}
         return run({"cmd": "genfun.expand", "rational": rational, "degree": 2})
 
-    assert expand([[[0], one], [[0], two]], []) == error("numerator: exponent [0] is repeated")
-    assert expand([[[0], one]], [[[0, one], [0, one]]]) == error("factors: variable 0 is repeated in one factor")
+    assert expand([[[0], one], [[0], two]], []) == error("rational.numerator[1][0]: exponent [0] is repeated")
+    assert expand([[[0], one]], [[[0, one], [0, one]]]) == error("rational.factors[0][1][0]: variable 0 is repeated")
     # written once, the same values answer: 3, and 1/(1 - 2t)
     assert expand([[[0], [1, ["3"]]]], [])["result"]["coefficients"] == [[[0], [1, ["3"]]]]
     assert expand([[[0], one]], [[[0, two]]])["result"]["coefficients"][2] == [[2], [1, ["4"]]]
@@ -588,15 +607,15 @@ def test_repeated_symbols_are_refused():
     a repeated symbol, so the `phi` below compiled as a -> 0."""
     dfa = run({"cmd": "lang.compile", "expr": {"kind": "star", "symbols": ["a", "b"]}, "alphabet": ["a", "b"]})["result"]
     spec = {"orders": [2], "alphabet": ["a", "b"], "phi": [["a", [1]], ["a", [0]], ["b", [0]]], "target": [[0]]}
-    assert run({"cmd": "lang.compile", "congruence": spec}) == error("phi: symbol 'a' is repeated")
+    assert run({"cmd": "lang.compile", "congruence": spec}) == error("congruence.phi[1][0]: symbol 'a' is repeated")
     quasi = {"ordered": {"kind": "star", "symbols": ["a", "b"]}, "congruence": spec}
-    assert run({"cmd": "genfun.closed", "quasi": quasi}) == error("phi: symbol 'a' is repeated")
+    assert run({"cmd": "genfun.closed", "quasi": quasi}) == error("quasi.congruence.phi[1][0]: symbol 'a' is repeated")
     norm = {"pairs": [["a", 0], ["b", 1], ["a", 1]], "size": 2}
-    assert run({"cmd": "lang.enum", "dfa": dfa, "bound": [1, 1], "norm": norm}) == error("pairs: symbol 'a' is repeated")
-    assert run({"cmd": "genfun.series", "dfa": dfa, "degree": 1, "norm": norm}) == error("pairs: symbol 'a' is repeated")
+    assert run({"cmd": "lang.enum", "dfa": dfa, "bound": [1, 1], "norm": norm}) == error("norm.pairs[2][0]: symbol 'a' is repeated")
+    assert run({"cmd": "genfun.series", "dfa": dfa, "degree": 1, "norm": norm}) == error("norm.pairs[2][0]: symbol 'a' is repeated")
     weighted = {"pairs": [[["a", [0]], 0], [["a", [0]], 1]], "size": 2}
     assert run({"cmd": "genfun.series", "dfa": dfa, "degree": 1, "norm": weighted}) == error(
-        "pairs: symbol ['a', [0]] is repeated"
+        "norm.pairs[1][0]: symbol ['a', [0]] is repeated"
     )
     spec["phi"] = [["a", [1]], ["b", [0]]]
     norm["pairs"] = [["a", 0], ["b", 1]]
@@ -615,13 +634,13 @@ def test_lists_sent_as_strings_are_rejected():
     cases = [
         ({"cmd": "lang.member", "dfa": dfa, "word": "aa"}, "word must be a list, got str"),
         ({"cmd": "poset.ideal", "x": x, "letters": "ab"}, "letters must be a list, got str"),
-        ({"cmd": "poset.leq", "x": x, "y": dict(y, letters="aa")}, "letters must be a list, got str"),
+        ({"cmd": "poset.leq", "x": x, "y": dict(y, letters="aa")}, "y.letters must be a list, got str"),
         ({"cmd": "lang.compile", "expr": star, "alphabet": "ab"}, "alphabet must be a list, got str"),
         ({"cmd": "lang.compile", "expr": dict(star, symbols="ab"), "alphabet": ["a", "b"]},
-         "symbols must be a list, got str"),
+         "expr.symbols must be a list, got str"),
         ({"cmd": "genfun.closed", "expr": star, "alphabet": "ab"}, "alphabet must be a list, got str"),
-        ({"cmd": "lang.member", "dfa": dict(dfa, alphabet="ab"), "word": []}, "alphabet must be a list, got str"),
-        ({"cmd": "lang.compile", "congruence": dict(spec, alphabet="ab")}, "alphabet must be a list, got str"),
+        ({"cmd": "lang.member", "dfa": dict(dfa, alphabet="ab"), "word": []}, "dfa.alphabet must be a list, got str"),
+        ({"cmd": "lang.compile", "congruence": dict(spec, alphabet="ab")}, "congruence.alphabet must be a list, got str"),
     ]
     for req, expected in cases:
         assert run(req) == {"status": "error", "diagnostics": ["ValidationError: " + expected]}, req
@@ -709,3 +728,62 @@ def test_cli_exit_code_on_error():
     )
     assert proc.returncode == 1
     assert json.loads(proc.stdout)["status"] == "error"
+
+
+def test_filter_target_is_a_set_of_group_elements():
+    """A repeated target element was counted twice: 1/(1 - t) over Z/3 with
+    psi [[1]] and target [[1], [1]] expanded to 2t + 2t^4, not t + t^4.  An
+    out-of-range target such as [[4]] was reduced mod 3, while psi refused it."""
+    one = [1, ["1"]]
+    rational = {"nvars": 1, "order": 1, "numerator": [[[0], one]], "factors": [[[0, one]]]}
+    base = {"cmd": "genfun.filter", "rational": rational, "orders": [3], "psi": [[1]]}
+    assert run(dict(base, target=[[1], [1]])) == error("target[1]: element [1] is repeated")
+    assert run(dict(base, target=[[0], [2], [0]])) == error("target[2]: element [0] is repeated")
+    assert run(dict(base, target=[[4]])) == error("target[0][0] must lie in range(3), got 4")
+    assert run(dict(base, target=[[-2]])) == error("target[0][0] must lie in range(3), got -2")
+    assert run(dict(base, target=[[1, 0]])) == error("target[0] must have 1 entries, got 2")
+    assert run(dict(base, psi=[[4]])) == error("psi[0][0] must lie in range(3), got 4")
+    filtered = run(dict(base, target=[[1]]))["result"]
+    series = run({"cmd": "genfun.expand", "rational": filtered, "degree": 5})["result"]
+    assert {e[0]: cyclotomic_from_json(c) for e, c in series["coefficients"]} == {1: 1, 4: 1}
+
+
+def test_wreath_labels_have_one_partition_per_irreducible():
+    # "mu": [] escaped execute_request as IndexError from pad_label
+    z2 = {"construct": "cyclic", "n": 2}
+    stability = {
+        "cmd": "wreath.stability", "group": z2, "lambda": [[], [1]], "mu": [], "nu": [[], []], "n_range": [2, 3]
+    }
+    assert run(stability) == error("mu must have 2 entries, got 0")
+    assert run(dict(stability, mu=[[], [1]], nu=[[]])) == error("nu must have 2 entries, got 1")
+    assert run({"cmd": "wreath.char", "group": z2, "lambda": [[1], [], []]}) == error(
+        "lambda must have 2 entries, got 3"
+    )
+    assert run(dict(stability, mu=[[], [1]]))["status"] == "ok"
+
+
+def test_group_orders_are_budgeted_before_any_table_is_built():
+    """S_(10^30) escaped as OverflowError, and S9 ran for minutes."""
+    cyclic = {"construct": "cyclic", "n": 1000}
+    for group, expected in [
+        ({"construct": "symmetric", "n": 10**30}, "group: a group of more than 10^100 elements exceeds the budget 200000"),
+        ({"construct": "symmetric", "n": 9}, "group: a group of 362880 elements exceeds the budget 200000"),
+        ({"construct": "cyclic", "n": 10**9}, "group: a group of 1000000000 elements exceeds the budget 200000"),
+        ({"construct": "product", "factors": [cyclic, cyclic]}, "group: a group of 1000000 elements exceeds the budget 200000"),
+    ]:
+        start = time.monotonic()
+        resp = run({"cmd": "group.table", "group": group})
+        assert time.monotonic() - start < 1, group
+        assert resp == error(expected), group
+    s4 = {"cmd": "group.table", "group": {"construct": "symmetric", "n": 4}}
+    assert run(dict(s4, budget=23)) == error("group: a group of 24 elements exceeds the budget 23")
+    assert sum(run(dict(s4, budget=24))["result"]["class_sizes"]) == 24
+    huge = {"construct": "cyclic", "n": 10**9}
+    for req in (
+        {"cmd": "wreath.char", "group": huge, "lambda": [[1]]},
+        {"cmd": "group.restrict", "group": huge, "subgroup": {"construct": "cyclic", "n": 1}, "embedding": [0]},
+        {"cmd": "segre.series", "complex": {"vertices": [1], "facets": [[1]]}, "group": huge, "action": [], "i": 0},
+    ):
+        start = time.monotonic()
+        assert run(req) == error("group: a group of 1000000000 elements exceeds the budget 200000"), req
+        assert time.monotonic() - start < 1, req

@@ -139,7 +139,7 @@ def test_json_round_trip():
 def test_an_int_serializes_as_the_order_one_number():
     for n in (0, 1, -7, 3**40):
         assert cyclotomic_to_json(n) == cyclotomic_to_json(CyclotomicNumber.from_rational(n)) == [1, [str(n)]]
-    with pytest.raises(ValidationError, match="order must be an integer, got 1.7"):
+    with pytest.raises(ValidationError, match=r"cyclotomic\[0\] must be an integer, got 1.7"):
         cyclotomic_from_json([1.7, ["1"]])
 
 
@@ -148,3 +148,15 @@ def test_package_exports_import():
 
     for name in quasilang.__all__:
         assert getattr(quasilang, name) is not None, name
+
+
+def test_json_coordinates_are_exact():
+    """A float coordinate was read through str(), so [1, [0.5]] was 1/2."""
+    assert cyclotomic_from_json([1, ["1/2"]]) == Fraction(1, 2)
+    assert cyclotomic_from_json([1, [3]]) == 3
+    assert cyclotomic_from_json([3, ["-4", "2/6"]]) == CyclotomicNumber(3, [-4, Fraction(1, 3)])
+    for coordinate in (0.5, 1.0, True, "0.5", "1e3", " 1", "+1", "1/0", "1/-2", None, [1]):
+        with pytest.raises(ValidationError, match=r'^cyclotomic\[1\]\[0\] must be an integer or a "p/q" string'):
+            cyclotomic_from_json([1, [coordinate]])
+    with pytest.raises(ValidationError, match=r"^cyclotomic must have 2 entries, got 3"):
+        cyclotomic_from_json([1, ["1"], 2])
