@@ -77,19 +77,28 @@ def _fit(req: Payload, where: Payload, noun: str, factors) -> None:
         raise where.error(noun.format(size) + f" exceeds the budget {budget}")
 
 
+def _fit_box(req: Payload, p: Payload, d: int, size: int) -> None:
+    """Refuse at `p` a series box of degree `d` in `size` variables past the
+    budget: its (d + 1)^size exponents, or at degree 0 the `size`
+    coordinates of its one exponent (size may be huge)."""
+    if d:
+        _fit(req, p, "a series box of {} exponents", (d + 1 for _ in range(size)))
+    else:
+        _fit(req, p, "a series exponent of {} coordinates", (size,))
+
+
 def _degree(req: Payload, size: int) -> tuple[int, ...]:
     """The series bound: `degree` (default 8) for every coordinate, or a list
     of `size` ints of at least 0; its box must fit the budget."""
-    p, box = req.get("degree", 8), "a series box of {} exponents"
+    p = req.get("degree", 8)
     if type(p.value) is not list:
         d = p.int(0)
-        # size factors of d + 1, none when they are 1s (size may be huge)
-        _fit(req, p, box, (d + 1 for _ in range(size)) if d else ())
+        _fit_box(req, p, d, size)
         return (d,) * size
     bound = p.ints(0)
     if len(bound) != size:
         raise ValidationError(f"{p.path} must have {size} entries, got {len(bound)}")
-    _fit(req, p, box, (b + 1 for b in bound))
+    _fit(req, p, "a series box of {} exponents", (b + 1 for b in bound))
     return bound
 
 
@@ -238,7 +247,7 @@ def _cmd_poset_series(req):
     # the closed form is expanded at every exponent of the series box
     degree = req.get("degree", 5)
     bound = degree.int(0)
-    _fit(req, degree, "a series box of {} exponents", (bound + 1 for _ in range(group.size)) if bound else ())
+    _fit_box(req, degree, bound, group.size)
     series, closed = wordposet.fws_principal_series(weights, group, bound)
     return {"series": series.to_json(), "closed": closed.to_json()}
 

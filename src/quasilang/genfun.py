@@ -131,6 +131,15 @@ def _units(radix: int, nvars: int) -> list[int]:
     return [radix ** (nvars - 1 - v) for v in range(nvars)]
 
 
+def _strides(bound) -> list[int]:
+    """The strides of the box of exponents <= bound: exponent e sits at index
+    sum_i e_i * stride_i, the last coordinate varying fastest."""
+    strides = [1] * len(bound)
+    for i in range(len(bound) - 1, 0, -1):
+        strides[i - 1] = strides[i] * (bound[i] + 1)
+    return strides
+
+
 def _pack(p: list[dict], units) -> list[dict]:
     return [{sum(map(mul, e, units)): x for e, x in col.items()} for col in p]
 
@@ -383,7 +392,7 @@ class FactoredRational:
             return SeriesTruncation(self.order, bound, {})
         order = self.order
         rows = _field(order)[1]
-        strides = [prod(b + 1 for b in bound[i + 1 :]) for i in range(len(bound))]
+        strides = _strides(bound)
         size = prod(b + 1 for b in bound)
         scale = lcm(*(c._den for f in self.factors for _, c in f.terms))
         powers = [scale**n for n in range(sum(bound) + 1)]
@@ -536,7 +545,7 @@ def series_from_dfa(dfa: Dfa, norm: Norm, bound) -> SeriesTruncation:
     bound = tuple(bound)
     if len(bound) != norm.size:
         raise ValidationError("bound must have one coordinate per variable")
-    strides = [prod(b + 1 for b in bound[i + 1 :]) for i in range(len(bound))]
+    strides = _strides(bound)
     preds: list[set[int]] = [set() for _ in dfa.delta]
     for p, row in enumerate(dfa.delta):
         for q in row:

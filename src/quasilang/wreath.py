@@ -65,12 +65,19 @@ def wreath_class_size(table: CharacterTable, n: int, label: WreathLabel) -> int:
     return wreath_group_order(table, n) // z
 
 
+def _classes(table: CharacterTable, n: int) -> tuple[tuple[WreathLabel, int], ...]:
+    """`wreath_classes(table, n)`, built once per table and degree."""
+    key = ("wreath.classes", n)
+    out = table.memo.get(key)
+    if out is None:
+        out = tuple((label, wreath_class_size(table, n, label)) for label in wreath_labels(table.n_classes, n))
+        table.memo[key] = out
+    return out
+
+
 def wreath_classes(table: CharacterTable, n: int) -> list[tuple[WreathLabel, int]]:
     """All conjugacy classes of the wreath product with their sizes."""
-    out = []
-    for label in wreath_labels(table.n_classes, n):
-        out.append((label, wreath_class_size(table, n, label)))
-    return out
+    return list(_classes(table, n))
 
 
 def identity_label(table: CharacterTable, n: int) -> WreathLabel:
@@ -108,7 +115,7 @@ def wreath_inner_product(a: ClassFunction, b: ClassFunction) -> int:
     """The multiplicity <a, b> over the classes of the wreath product."""
     if a.n != b.n:
         raise ValidationError("class functions live on different degrees")
-    classes = wreath_classes(a.table, a.n)
+    classes = _classes(a.table, a.n)
     return multiplicity(
         [size for _, size in classes],
         [a.values[label] for label, _ in classes],
@@ -127,10 +134,14 @@ def _merged_cycle_type(label: WreathLabel) -> tuple[int, ...]:
 def _block_character(table: CharacterTable, v: int, mu: tuple[int, ...]) -> ClassFunction:
     """Character of V wr M_mu on the wreath product of degree |mu|:
     chi(sigma; g) = chi_mu(cycle type) * prod over cycles of chi_V(class of
-    the cycle product)."""
+    the cycle product).  Built once per table, V and mu."""
+    key = ("wreath.block", v, mu)
+    block = table.memo.get(key)
+    if block is not None:
+        return block
     m = sum(mu)
     values = {}
-    for label, _ in wreath_classes(table, m):
+    for label, _ in _classes(table, m):
         coeff = CyclotomicNumber.from_rational(
             mn_character(mu, _merged_cycle_type(label))
         )
@@ -138,7 +149,8 @@ def _block_character(table: CharacterTable, v: int, mu: tuple[int, ...]) -> Clas
             if part:
                 coeff = coeff * table.rows[v][c] ** len(part)
         values[label] = coeff
-    return ClassFunction(table, m, values)
+    block = table.memo[key] = ClassFunction(table, m, values)
+    return block
 
 
 def _fuse(labels: tuple[WreathLabel, ...], n_classes: int) -> WreathLabel:
@@ -153,9 +165,20 @@ def _fuse(labels: tuple[WreathLabel, ...], n_classes: int) -> WreathLabel:
 
 def wreath_irreducible_character(table: CharacterTable, lam: WreathLabel) -> ClassFunction:
     """The irreducible labeled by the partition-valued function lam: blocks
-    V wr M_(lam V) on the factors, induced up with combinatorial fusion."""
+    V wr M_(lam V) on the factors, induced up with combinatorial fusion.
+
+    Each character is built once per table and kept in `table.memo`, so the
+    class function returned is shared: do not mutate its values."""
     if len(lam) != len(table.rows):
         raise ValidationError("need one partition per irreducible of G")
+    key = ("wreath.char", lam)
+    chi = table.memo.get(key)
+    if chi is None:
+        chi = table.memo[key] = _induced_character(table, lam)
+    return chi
+
+
+def _induced_character(table: CharacterTable, lam: WreathLabel) -> ClassFunction:
     n = label_size(lam)
     slots = [v for v in range(len(lam)) if lam[v]]
     if not slots:
@@ -167,7 +190,7 @@ def wreath_irreducible_character(table: CharacterTable, lam: WreathLabel) -> Cla
         sub_order *= wreath_group_order(table, b.n)
     big_order = wreath_group_order(table, n)
     sums: dict = {}
-    block_classes = [wreath_classes(table, b.n) for b in blocks]
+    block_classes = [_classes(table, b.n) for b in blocks]
     for combo in itertools.product(*block_classes):
         sub_size = 1
         value = CyclotomicNumber.one()
@@ -179,7 +202,7 @@ def wreath_irreducible_character(table: CharacterTable, lam: WreathLabel) -> Cla
         contrib = value * sub_size
         sums[fused] = contrib if prev is None else prev + contrib
     values = {}
-    for label, size in wreath_classes(table, n):
+    for label, size in _classes(table, n):
         acc = sums.get(label)
         if acc is None:
             values[label] = CyclotomicNumber.zero()

@@ -10,17 +10,23 @@ Not a test module (pytest does not collect it); test files import it by name.
   `wreath.diag_induced_series`.
 - `surjection_series` counts weight-preserving surjections one exponent at a
   time, the oracle for `wordposet.fws_principal_series`.
+- `elementwise_symmetric_table` composes every pair of permutations, the
+  oracle for the generator-built table of `FiniteGroup.symmetric`.
+- `is_homomorphism_on_all_pairs` tests emb(ab) = emb(a) emb(b) at all |H|^2
+  pairs, the oracle for the generator check of
+  `grouptheory.validate_embedding`.
 """
 
 from __future__ import annotations
 
 import itertools
 from math import factorial
+from operator import itemgetter
 
 from quasilang.cyclotomic import CyclotomicNumber
 from quasilang.errors import ValidationError
 from quasilang.genfun import SeriesTruncation
-from quasilang.grouptheory import CharacterTable, multiplicity
+from quasilang.grouptheory import CharacterTable, FiniteGroup, multiplicity
 from quasilang.wordposet import WeightedWord, minimal_fiber_words, theta_vector
 
 # ---------------------------------------------------------------------------
@@ -233,3 +239,26 @@ def surjection_series(weights, group, bound: int) -> SeriesTruncation:
         if count:
             coeffs[n] = multinomial(n) * count
     return SeriesTruncation(1, bounds, coeffs)
+
+
+# ---------------------------------------------------------------------------
+# symmetric groups and embeddings, element by element
+
+
+def elementwise_symmetric_table(n: int) -> tuple[list, tuple]:
+    """(table, labels) of S_n on the sorted permutations of range(n), with
+    (p * q)(i) = p[q[i]]: column q lists p * q for every p, one composition
+    and one lookup per entry."""
+    elems = sorted(itertools.permutations(range(n)))
+    if n < 2:
+        return [(0,)], tuple(elems)
+    index = {p: i for i, p in enumerate(elems)}
+    # itemgetter(*q) returns a tuple only when n >= 2
+    columns = [list(map(index.__getitem__, map(itemgetter(*q), elems))) for q in elems]
+    return list(zip(*columns)), tuple(elems)
+
+
+def is_homomorphism_on_all_pairs(G: FiniteGroup, H: FiniteGroup, emb) -> bool:
+    return all(
+        emb[H.table[a][b]] == G.table[emb[a]][emb[b]] for a in range(H.order) for b in range(H.order)
+    )

@@ -365,6 +365,30 @@ def test_series_box_is_budgeted(tmp_path, capsys):
     ]
 
 
+def test_series_exponent_length_is_budgeted():
+    """At degree 0 the box has one exponent, but it has one coordinate per
+    variable, and the variable count is the client's."""
+    empty = {"order": 1, "numerator": [], "den": 1, "factors": []}
+    dfa = {"alphabet": ["a"], "delta": [[0]], "start": 0, "accepting": [0]}
+    for nvars in (10**30, 10**7):
+        error = f"ValidationError: degree: a series exponent of {nvars} coordinates exceeds the budget 200000"
+        for req in (
+            {"cmd": "genfun.expand", "rational": dict(empty, nvars=nvars), "degree": 0},
+            {"cmd": "genfun.series", "dfa": dfa, "norm": {"size": nvars, "pairs": [["a", 0]]}, "degree": 0},
+            {"cmd": "poset.series", "orders": [nvars], "weights": [[1]], "degree": 0},
+        ):
+            start = time.monotonic()
+            resp = run(req)
+            elapsed = time.monotonic() - start
+            assert resp == {"status": "error", "diagnostics": [error]}, req["cmd"]
+            assert elapsed < 1, f"{req['cmd']} took {elapsed:.1f} s"
+    expand = {"cmd": "genfun.expand", "rational": dict(empty, nvars=3), "degree": 0}
+    assert run(dict(expand, budget=3))["result"]["bound"] == [0, 0, 0]
+    assert run(dict(expand, budget=2))["diagnostics"] == [
+        "ValidationError: degree: a series exponent of 3 coordinates exceeds the budget 2"
+    ]
+
+
 def test_segre_product_with_nested_tuple_vertices_reads_back():
     """A cube built from a square that went through JSON has vertices
     ((a, b), c); read back, they must stay hashable tuples."""

@@ -11,10 +11,16 @@ the restriction matrix by the resulting abelianization matrix; it now keeps
 the columns of the restriction matrix at the degree-1 rows of H's table.
 The element sums, `subgroup_closure`, `commutator_subgroup`, `quotient` and
 `abelianization_matrix` below are the removed code, written out.
+
+`FiniteGroup.symmetric` used to compose every pair of permutations, and
+`validate_embedding` used to test every pair of elements of the subgroup;
+both now work along generators.  The old code is in `oracles.py`.
 """
 
 from __future__ import annotations
 
+import itertools
+import random
 from fractions import Fraction
 
 import pytest
@@ -31,8 +37,11 @@ from quasilang.grouptheory import (
     multiplicity,
     restriction_matrix,
     smith_normal_form,
+    validate_embedding,
     young_subgroups,
 )
+
+from oracles import elementwise_symmetric_table, is_homomorphism_on_all_pairs
 
 # ---------------------------------------------------------------------------
 # element-sum reference
@@ -283,3 +292,79 @@ def test_good_family_unchanged_by_reusing_the_group(n, covering):
     # the family as built before: S_n constructed again for the partition (n)
     rebuilt = [(FiniteGroup.symmetric(n), tuple(range(G.order)))] + family[1:]
     assert is_good_family(G, family, covering) == is_good_family(G, rebuilt, covering)
+
+
+# ---------------------------------------------------------------------------
+# S_n from two generators, and embeddings checked on generators
+
+
+@pytest.mark.parametrize("n", range(7))
+def test_symmetric_table_matches_elementwise_composition(n):
+    table, labels = elementwise_symmetric_table(n)
+    G = FiniteGroup.symmetric(n)
+    assert G.table == tuple(map(tuple, table))
+    assert G.labels == labels
+
+
+def _accepts(G: FiniteGroup, H: FiniteGroup, emb) -> bool:
+    try:
+        validate_embedding(G, H, emb)
+    except ValidationError as exc:
+        assert str(exc) == "embedding is not a homomorphism"
+        return False
+    return True
+
+
+V4 = FiniteGroup.direct_product(FiniteGroup.cyclic(2), FiniteGroup.cyclic(2))
+
+
+@pytest.mark.parametrize(
+    "H, n, homomorphisms",
+    [
+        # elements of order 2 and 3 of S3 and S4; the four Klein subgroups of
+        # S4 with their 6 automorphisms each
+        (FiniteGroup.cyclic(2), 3, 3),
+        (FiniteGroup.cyclic(2), 4, 9),
+        (FiniteGroup.cyclic(3), 3, 2),
+        (FiniteGroup.cyclic(3), 4, 8),
+        (V4, 3, 0),
+        (V4, 4, 24),
+    ],
+    ids=["Z2>S3", "Z2>S4", "Z3>S3", "Z3>S4", "Z2xZ2>S3", "Z2xZ2>S4"],
+)
+def test_generator_embedding_check_agrees_with_all_pairs_on_every_injection(H, n, homomorphisms):
+    G = FiniteGroup.symmetric(n)
+    accepted = 0
+    for emb in itertools.permutations(range(G.order), H.order):
+        full = is_homomorphism_on_all_pairs(G, H, emb)
+        assert _accepts(G, H, emb) == full, emb
+        accepted += full
+    assert accepted == homomorphisms
+
+
+def test_generator_embedding_check_agrees_with_all_pairs_from_s3_into_s4():
+    G, H = FiniteGroup.symmetric(4), FiniteGroup.symmetric(3)
+    index = {p: i for i, p in enumerate(G.labels)}
+    # S3 on the first three points, conjugated by every element of S4
+    fixing = [index[p + (3,)] for p in H.labels]
+    conjugates = {
+        tuple(G.table[G.table[g][h]][G.inverse[g]] for h in fixing) for g in range(G.order)
+    }
+    rng = random.Random(16)
+    maps = [tuple(rng.sample(range(G.order), H.order)) for _ in range(500)]
+    for emb in sorted(conjugates):
+        # two images swapped: no longer a homomorphism, or one only by chance
+        i, j = rng.sample(range(H.order), 2)
+        swapped = list(emb)
+        swapped[i], swapped[j] = swapped[j], swapped[i]
+        maps += [emb, tuple(swapped)]
+    verdicts = [is_homomorphism_on_all_pairs(G, H, emb) for emb in maps]
+    assert [_accepts(G, H, emb) for emb in maps] == verdicts
+    assert sum(verdicts) >= len(conjugates) == 4 * 6  # four point stabilizers, six automorphisms
+
+
+def test_trivial_subgroup_must_go_to_the_identity():
+    # with no generators, only the test at b = identity refuses these
+    G, trivial = FiniteGroup.symmetric(3), FiniteGroup.cyclic(1)
+    for k in range(G.order):
+        assert _accepts(G, trivial, (k,)) == is_homomorphism_on_all_pairs(G, trivial, (k,)) == (k == G.identity)

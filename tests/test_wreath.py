@@ -6,8 +6,10 @@ import pytest
 from quasilang.cyclotomic import CyclotomicNumber
 from quasilang.genfun import FactoredRational, LinearForm
 from quasilang.grouptheory import FiniteGroup, character_table, symmetric_table
+from quasilang.cli import dumps, execute_request
 from quasilang.wreath import (
     diag_induced_series,
+    label_size,
     pad_label,
     tensor_stability_table,
     wreath_classes,
@@ -212,3 +214,40 @@ def test_stability_z2_window_constant():
     vals = tensor_stability_table(Z2, lam, lam, lam, range(2, 7))
     tail = [v for v in vals if v is not None][-4:]
     assert len(set(tail)) == 1
+
+
+def test_wreath_memo_stays_with_its_table():
+    """Z/2 and S2 have the same class sizes but not the same rows (S2 lists
+    its identity class last), so what one table keeps must not answer for
+    the other."""
+    z2, s2 = character_table(FiniteGroup.cyclic(2)), character_table(FiniteGroup.symmetric(2))
+    assert z2.class_sizes == s2.class_sizes and z2.rows != s2.rows
+    labels = [lam for n in (1, 2, 3) for lam in wreath_labels(2, n)]
+    sgn = ((), (1,))
+    for table, build in ((z2, lambda: FiniteGroup.cyclic(2)), (s2, lambda: FiniteGroup.symmetric(2))):
+        for lam in labels:
+            fresh = character_table(build())
+            n = label_size(lam)
+            assert wreath_classes(table, n) == wreath_classes(fresh, n)
+            assert wreath_irreducible_character(table, lam).values == wreath_irreducible_character(fresh, lam).values
+        stability = tensor_stability_table(table, sgn, sgn, ((), ()), range(2, 6))
+        assert stability == tensor_stability_table(character_table(build()), sgn, sgn, ((), ()), range(2, 6))
+        # in degree 1 the wreath product is G and its irreducibles are G's
+        for v in range(2):
+            chi = wreath_irreducible_character(table, tuple((1,) if w == v else () for w in range(2)))
+            for c in range(2):
+                assert chi.values[tuple((1,) if d == c else () for d in range(2))] == table.rows[v][c]
+
+
+def test_repeated_stability_requests_are_byte_identical():
+    req = {
+        "cmd": "wreath.stability",
+        "group": {"construct": "symmetric", "n": 3},
+        "lambda": [[], [1], []],
+        "mu": [[], [1], []],
+        "nu": [[], [], []],
+        "n_range": [2, 4],
+    }
+    first = dumps(execute_request(dict(req)))
+    assert '"status":"ok"' in first
+    assert dumps(execute_request(dict(req))) == first
