@@ -60,7 +60,8 @@ def _norm_from_json(p: Payload, alphabet) -> Norm:
 
 def _budget(req: Payload) -> int:
     """The budget (also the --budget flag) of the simplices of a Segre
-    product, the exponents of a series box and the elements of a group."""
+    product, the exponents of a series box, the elements of a group and the
+    words the `lang.enum` search visits."""
     return req.get("budget", segre.DEFAULT_SIMPLEX_BUDGET).int(0)
 
 
@@ -173,7 +174,7 @@ def _cmd_lang_enum(req):
     norm = _norm_from_json(req.get("norm"), dfa.alphabet)
     bound = req["bound"]
     bound = bound.ints(0) if type(bound.value) is list else bound.int(0)
-    words = enumerate_by_norm(dfa, norm, bound)
+    words = enumerate_by_norm(dfa, norm, bound, _budget(req))
     return [[symbol_to_json(s) for s in w] for w in words]
 
 
@@ -411,7 +412,9 @@ def execute_request(request: dict) -> dict:
 
 
 def dumps(response: dict) -> str:
-    return json.dumps(response, sort_keys=True, separators=(",", ":"))
+    """The canonical text of a response.  Responses are trees the handlers
+    build (lists may be shared, never cyclic), so the cycle check is off."""
+    return json.dumps(response, sort_keys=True, separators=(",", ":"), check_circular=False)
 
 
 def main(argv=None) -> int:
@@ -421,7 +424,7 @@ def main(argv=None) -> int:
     parser.add_argument("--out", dest="outfile", help="output file (default stdout)")
     parser.add_argument("--degree", type=int, help="cap series degree")
     parser.add_argument("--nmax", type=int, help="cap iterated powers")
-    parser.add_argument("--budget", type=int, help="cap simplex counts, series box sizes and group orders")
+    parser.add_argument("--budget", type=int, help="cap simplex counts, series box sizes, group orders and enumerated words")
     args = parser.parse_args(argv)
     if args.infile:
         with open(args.infile, "r", encoding="utf-8") as fh:

@@ -490,6 +490,15 @@ class SeriesTruncation:
             if c:
                 self.coefficients[e] = c
 
+    @classmethod
+    def _trusted(cls, order: int, bound: tuple[int, ...], coefficients: dict) -> "SeriesTruncation":
+        """A series whose exponents lie in the box and whose coefficients are
+        nonzero ints or `CyclotomicNumber`s by construction, as the DFA word
+        counter builds it: the checks of `__init__` are skipped."""
+        series = cls.__new__(cls)
+        series.order, series.bound, series.coefficients = order, bound, coefficients
+        return series
+
     def coefficient(self, exponent) -> CyclotomicNumber:
         c = self.coefficients.get(tuple(exponent))
         if c is None:
@@ -546,15 +555,7 @@ def series_from_dfa(dfa: Dfa, norm: Norm, bound) -> SeriesTruncation:
     if len(bound) != norm.size:
         raise ValidationError("bound must have one coordinate per variable")
     strides = _strides(bound)
-    preds: list[set[int]] = [set() for _ in dfa.delta]
-    for p, row in enumerate(dfa.delta):
-        for q in row:
-            preds[q].add(p)
-    live, stack = set(dfa.accepting), list(dfa.accepting)
-    while stack:
-        new = preds[stack.pop()] - live
-        live |= new
-        stack.extend(new)
+    live = dfa.live_states()
     # edges[p][i] = {q: number of symbols of norm index i taking p to q}, q live
     indices = [norm.index(s) for s in dfa.alphabet]
     edges: list[dict[int, Counter]] = [{} for _ in dfa.delta]
@@ -569,20 +570,27 @@ def series_from_dfa(dfa: Dfa, norm: Norm, bound) -> SeriesTruncation:
     totals = [0] * prod(b + 1 for b in bound)
     layer = {dfa.start: {0: 1}} if dfa.start in live and min(bound, default=0) >= 0 else {}
     while layer:
+        # empty steps are skipped, so no dict of the next layer is empty; a
+        # target's first contribution is a copy, as the step may feed others
         nxt: dict[int, dict[int, int]] = {}
         for p, counts in layer.items():
             if p in dfa.accepting:
                 for e, c in counts.items():
                     totals[e] += c
             for stride, period, limit, targets in steps[p]:
-                stepped = [(e + stride, c) for e, c in counts.items() if e % period < limit]
+                stepped = {e + stride: c for e, c in counts.items() if e % period < limit}
+                if not stepped:
+                    continue
                 for q, mult in targets:
-                    target = nxt.setdefault(q, {})
-                    for f, c in stepped:
-                        target[f] = target.get(f, 0) + c * mult
-        layer = {q: counts for q, counts in nxt.items() if counts}
+                    target = nxt.get(q)
+                    if target is None:
+                        nxt[q] = dict(stepped) if mult == 1 else {f: c * mult for f, c in stepped.items()}
+                    else:
+                        for f, c in stepped.items():
+                            target[f] = target.get(f, 0) + c * mult
+        layer = nxt
     exponents = itertools.compress(itertools.product(*(range(b + 1) for b in bound)), totals)
-    return SeriesTruncation(1, bound, dict(zip(exponents, filter(None, totals))))
+    return SeriesTruncation._trusted(1, bound, dict(zip(exponents, filter(None, totals))))
 
 
 # ---------------------------------------------------------------------------

@@ -7,7 +7,7 @@ from __future__ import annotations
 
 import itertools
 from dataclasses import dataclass
-from math import gcd, lcm, prod
+from math import gcd, inf, lcm, prod
 
 from .errors import Payload, ValidationError
 
@@ -199,14 +199,15 @@ class Dfa:
     States are 0..n-1; `delta[state][symbol_index]` is the successor.  States
     are canonically numbered by BFS from the start state (symbols in alphabet
     order), so equal languages compiled the same way serialize identically.
-    """
+
+    `Dfa(...)` checks that the alphabet is distinct, the table total and in
+    range, and the start and accepting states in range.  The automata the
+    compiler builds (`_determinize`, `_product`, `_canonicalize`) meet these
+    by construction and go through `Dfa._trusted`, which skips the scans;
+    `compile_ordered` checks its alphabet once, on entry."""
 
     def __init__(self, alphabet, delta, start: int, accepting):
-        self.alphabet = tuple(alphabet)
-        self.delta = tuple(map(tuple, delta))
-        self.start = start
-        self.accepting = frozenset(accepting)
-        self._sym_index = {s: i for i, s in enumerate(self.alphabet)}
+        self._fill(alphabet, delta, start, accepting)
         if len(self._sym_index) != len(self.alphabet):
             raise ValidationError("alphabet symbols must be distinct")
         n, targets = len(self.delta), set(itertools.chain.from_iterable(self.delta))
@@ -214,6 +215,21 @@ class Dfa:
             raise ValidationError("transition table is not total over the state set")
         if not (0 <= start < n) or any(a not in range(n) for a in self.accepting):
             raise ValidationError("start/accepting states out of range")
+
+    @classmethod
+    def _trusted(cls, alphabet, delta, start: int, accepting) -> "Dfa":
+        """A DFA whose table is total and in range by construction, over a
+        distinct alphabet: the checks of `__init__` are skipped."""
+        dfa = cls.__new__(cls)
+        dfa._fill(alphabet, delta, start, accepting)
+        return dfa
+
+    def _fill(self, alphabet, delta, start, accepting) -> None:
+        self.alphabet = tuple(alphabet)
+        self.delta = tuple(map(tuple, delta))
+        self.start = start
+        self.accepting = frozenset(accepting)
+        self._sym_index = {s: i for i, s in enumerate(self.alphabet)}
 
     @property
     def n_states(self) -> int:
@@ -233,6 +249,19 @@ class Dfa:
         for s in word:
             state = self.step(state, s)
         return state in self.accepting
+
+    def live_states(self) -> set[int]:
+        """The states from which an accepting state is reachable."""
+        preds: list[set[int]] = [set() for _ in self.delta]
+        for p, row in enumerate(self.delta):
+            for q in row:
+                preds[q].add(p)
+        live, stack = set(self.accepting), list(self.accepting)
+        while stack:
+            new = preds[stack.pop()] - live
+            live |= new
+            stack.extend(new)
+        return live
 
     def is_empty(self) -> bool:
         seen = {self.start}
@@ -257,25 +286,31 @@ def _canonicalize(alphabet, delta, start, accepting) -> Dfa:
             if t not in order:
                 order[t] = len(order)
                 queue.append(t)
-    new_delta = [[order[t] for t in delta[q]] for q in queue]
+    new_delta = [tuple(map(order.__getitem__, delta[q])) for q in queue]
     new_acc = {order[q] for q in accepting if q in order}
-    return Dfa(alphabet, new_delta, 0, new_acc)
+    return Dfa._trusted(alphabet, new_delta, 0, new_acc)
 
 
 def _minimize(dfa: Dfa) -> Dfa:
-    """Moore partition refinement followed by canonical renumbering."""
+    """Moore partition refinement followed by canonical renumbering.
+
+    The table is transposed once into one column per symbol.  A round's
+    signature of q is (block of q, block of each successor of q), built for
+    all states at once by zipping the columns read through the block list;
+    the new blocks are numbered by first occurrence.  A round that splits no
+    block ends the refinement (each round refines the last)."""
+    columns = list(zip(*dfa.delta))
     block = [1 if q in dfa.accepting else 0 for q in range(dfa.n_states)]
+    count = len(set(block))
     while True:
-        signature: dict = {}
-        new_block = [
-            signature.setdefault((block[q], *map(block.__getitem__, row)), len(signature))
-            for q, row in enumerate(dfa.delta)
-        ]
-        if new_block == block:
+        signatures = list(zip(block, *(map(block.__getitem__, c) for c in columns)))
+        ids = dict(zip(dict.fromkeys(signatures), itertools.count()))
+        block = list(map(ids.__getitem__, signatures))
+        if len(ids) == count:
             break
-        block = new_block
+        count = len(ids)
     rows = dict(zip(block, dfa.delta))  # any state's row: a block's states step to the same blocks
-    delta = [[block[t] for t in rows[b]] for b in range(len(rows))]
+    delta = [tuple(map(block.__getitem__, rows[b])) for b in range(count)]
     accepting = {block[q] for q in dfa.accepting}
     return _canonicalize(dfa.alphabet, delta, block[dfa.start], accepting)
 
@@ -287,13 +322,18 @@ def compile_ordered(expr, alphabet) -> Dfa:
     pairwise in a balanced tree, each step a minimized product accepting when
     either side accepts.  Any other expression, a union nested in a
     concatenation included, is determinized by one subset construction over
-    its Glushkov automaton (`_determinize`).  The result is minimized once
-    more; a minimal DFA is unique up to renumbering and `_canonicalize` fixes
-    the numbering, so it depends only on the language, not on how the union
-    is split."""
+    its Glushkov automaton (`_determinize`) and then minimized.  A minimal
+    DFA is unique up to renumbering and `_canonicalize` fixes the numbering,
+    so the result depends only on the language, not on how the union is
+    split.  The alphabet is checked to be distinct here, once: the automata
+    of the fold are built on trusted tables (`Dfa._trusted`)."""
     symbols = tuple(alphabet)
     validate_expr(expr, symbols)
-    return _minimize(_compile(expr, symbols))
+    if len(set(symbols)) != len(symbols):
+        raise ValidationError("alphabet symbols must be distinct")
+    dfa = _compile(expr, symbols)
+    # a union of two or more parts comes out of a fold step, already minimal
+    return dfa if isinstance(expr, Union) and len(expr.parts) > 1 else _minimize(dfa)
 
 
 def _compile(expr, symbols) -> Dfa:
@@ -370,7 +410,7 @@ def _determinize(expr, symbols) -> Dfa:
             row.append(index[nxt])
         delta.append(row)
     accepting = {i for sub, i in index.items() if sub & last}
-    return Dfa(symbols, delta, 0, accepting)
+    return Dfa._trusted(symbols, delta, 0, accepting)
 
 
 @dataclass(frozen=True)
@@ -446,34 +486,44 @@ def _product(a: Dfa, b: Dfa, accept) -> Dfa:
             row.append(index[t])
         delta.append(row)
     accepting = {i for (p, q), i in index.items() if accept(p in a.accepting, q in b.accepting)}
-    return Dfa(a.alphabet, delta, 0, accepting)
+    return Dfa._trusted(a.alphabet, delta, 0, accepting)
 
 
 def membership(dfa: Dfa, word) -> bool:
     return dfa.accepts(word)
 
 
-def enumerate_by_norm(dfa: Dfa, norm: Norm, bound) -> list[tuple]:
+def enumerate_by_norm(dfa: Dfa, norm: Norm, bound, budget: float = inf) -> list[tuple]:
     """All accepted words with norm coordinatewise <= bound, lexicographically
-    by alphabet order (prefixes before their extensions)."""
+    by alphabet order (prefixes before their extensions).
+
+    The search visits the words within the bound that end in a live state,
+    each once; every accepted word is one of them.  A search that would
+    visit more than `budget` words is refused before it does."""
     if isinstance(bound, int):
         bound = (bound,) * norm.size
     bound = tuple(bound)
     if len(bound) != norm.size:
         raise ValidationError(f"bound has {len(bound)} coordinates, norm has {norm.size}")
     out: list[tuple] = []
+    live = dfa.live_states()
     # the extensions of a word go on the stack in reverse alphabet order, so
     # they come off in alphabet order, each after the words it extends
     backwards = [(s, norm.index(s)) for s in reversed(dfa.alphabet)]
-    stack = [(dfa.start, (), bound)]
+    stack = [(dfa.start, (), bound)] if dfa.start in live else []
+    visited = 0
     while stack:
-        state, word, budget = stack.pop()
+        if visited == budget:
+            raise ValidationError(f"bound: the search visits more than {budget} words, past the budget {budget}")
+        visited += 1
+        state, word, left = stack.pop()
         if state in dfa.accepting:
             out.append(word)
         for s, i in backwards:
-            if budget[i] > 0:
-                rest = budget[:i] + (budget[i] - 1,) + budget[i + 1 :]
-                stack.append((dfa.step(state, s), word + (s,), rest))
+            if left[i] > 0:
+                nxt = dfa.step(state, s)
+                if nxt in live:
+                    stack.append((nxt, word + (s,), left[:i] + (left[i] - 1,) + left[i + 1 :]))
     return out
 
 
@@ -493,19 +543,32 @@ def symbol_to_json(sym):
 
 
 def expr_to_json(expr) -> dict:
+    """The JSON form of an expression.  Each distinct symbol is encoded once
+    per call, and its occurrences share that one JSON value."""
+    return _expr_to_json(expr, {})
+
+
+def _expr_to_json(expr, encoded: dict) -> dict:
+    if isinstance(expr, Sym):
+        return {"kind": "symbol", "symbol": _encoded(expr.symbol, encoded)}
+    if isinstance(expr, Star):
+        return {"kind": "star", "symbols": [_encoded(s, encoded) for s in expr.symbols]}
+    if isinstance(expr, Union):
+        return {"kind": "union", "parts": [_expr_to_json(p, encoded) for p in expr.parts]}
+    if isinstance(expr, Concat):
+        return {"kind": "concat", "parts": [_expr_to_json(p, encoded) for p in expr.parts]}
     if isinstance(expr, Empty):
         return {"kind": "empty"}
     if isinstance(expr, Epsilon):
         return {"kind": "epsilon"}
-    if isinstance(expr, Sym):
-        return {"kind": "symbol", "symbol": symbol_to_json(expr.symbol)}
-    if isinstance(expr, Star):
-        return {"kind": "star", "symbols": [symbol_to_json(s) for s in expr.symbols]}
-    if isinstance(expr, Union):
-        return {"kind": "union", "parts": [expr_to_json(p) for p in expr.parts]}
-    if isinstance(expr, Concat):
-        return {"kind": "concat", "parts": [expr_to_json(p) for p in expr.parts]}
     raise ValidationError(f"not a language expression: {expr!r}")
+
+
+def _encoded(sym, encoded: dict):
+    out = encoded.get(sym)
+    if out is None:
+        out = encoded[sym] = symbol_to_json(sym)
+    return out
 
 
 _LEAVES = {

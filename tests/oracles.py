@@ -15,6 +15,9 @@ Not a test module (pytest does not collect it); test files import it by name.
 - `is_homomorphism_on_all_pairs` tests emb(ab) = emb(a) emb(b) at all |H|^2
   pairs, the oracle for the generator check of
   `grouptheory.validate_embedding`.
+- `moore_minimize` refines with one tuple signature per state and builds
+  its result through the checked `Dfa(...)`, the oracle for the column
+  kernel of `langkit._minimize`.
 """
 
 from __future__ import annotations
@@ -27,6 +30,7 @@ from quasilang.cyclotomic import CyclotomicNumber
 from quasilang.errors import ValidationError
 from quasilang.genfun import SeriesTruncation
 from quasilang.grouptheory import CharacterTable, FiniteGroup, multiplicity
+from quasilang.langkit import Dfa
 from quasilang.wordposet import WeightedWord, minimal_fiber_words, theta_vector
 
 # ---------------------------------------------------------------------------
@@ -262,3 +266,35 @@ def is_homomorphism_on_all_pairs(G: FiniteGroup, H: FiniteGroup, emb) -> bool:
     return all(
         emb[H.table[a][b]] == G.table[emb[a]][emb[b]] for a in range(H.order) for b in range(H.order)
     )
+
+
+# ---------------------------------------------------------------------------
+# DFA minimization, state by state
+
+
+def moore_minimize(dfa: Dfa) -> Dfa:
+    """Moore refinement with one signature (block of q, blocks of q's
+    successors) per state, blocks numbered by first occurrence, until a
+    round changes nothing; then the reachable quotient renumbered by BFS
+    from the start (alphabet order for ties)."""
+    block = [1 if q in dfa.accepting else 0 for q in range(dfa.n_states)]
+    while True:
+        signature: dict = {}
+        new_block = [
+            signature.setdefault((block[q], *(block[t] for t in row)), len(signature))
+            for q, row in enumerate(dfa.delta)
+        ]
+        if new_block == block:
+            break
+        block = new_block
+    rows = dict(zip(block, dfa.delta))
+    start = block[dfa.start]
+    order, queue = {start: 0}, [start]
+    for b in queue:
+        for t in rows[b]:
+            if block[t] not in order:
+                order[block[t]] = len(order)
+                queue.append(block[t])
+    delta = [[order[block[t]] for t in rows[b]] for b in queue]
+    accepting = {order[block[q]] for q in dfa.accepting if block[q] in order}
+    return Dfa(dfa.alphabet, delta, 0, accepting)

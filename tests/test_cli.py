@@ -8,6 +8,7 @@ from quasilang.cli import dumps, execute_request, main
 from quasilang.cyclotomic import cyclotomic_from_json
 from quasilang.errors import MAX_DEPTH
 from quasilang.wordposet import OrderedSurjection, WeightedWord, validate_witness
+from test_payload_fuzz import CORPUS
 
 
 def run(req):
@@ -711,6 +712,57 @@ def test_lang_enum_of_a_long_word_answers():
     for bound in (n, [n]):
         assert run({"cmd": "lang.enum", "dfa": dfa, "bound": bound}) == {"status": "ok", "result": [["a"] * n]}
     assert run({"cmd": "lang.enum", "dfa": dfa, "bound": n - 1}) == {"status": "ok", "result": []}
+
+
+def test_lang_enum_is_budgeted():
+    """Over the star DFA on {a, b} the words grow about 4x per bound step;
+    [12, 12] (10,400,599 words) is refused at once, by path and
+    budget.  A DFA whose accepted words all lie past the bound is refused
+    too: the budget counts the words the search visits."""
+    star = run({"cmd": "lang.compile", "expr": {"kind": "star", "symbols": ["a", "b"]}, "alphabet": ["a", "b"]})
+    enum = {"cmd": "lang.enum", "dfa": star["result"], "bound": [7, 7]}
+    assert len(run(enum)["result"]) == 12869
+    assert run(dict(enum, budget=12869))["status"] == "ok"
+    (message,) = run(dict(enum, budget=12868))["diagnostics"]
+    assert message == "ValidationError: bound: the search visits more than 12868 words, past the budget 12868"
+    start = time.perf_counter()
+    resp = run(dict(enum, bound=[12, 12]))
+    assert time.perf_counter() - start < 1
+    assert resp["diagnostics"] == ["ValidationError: bound: the search visits more than 200000 words, past the budget 200000"]
+    # accepts the words with at least 13 a's
+    past = {"alphabet": ["a", "b"], "delta": [[min(i + 1, 13), i] for i in range(14)], "start": 0, "accepting": [13]}
+    start = time.perf_counter()
+    assert run({"cmd": "lang.enum", "dfa": past, "bound": [12, 12]})["status"] == "error"
+    assert time.perf_counter() - start < 1
+    assert run({"cmd": "lang.enum", "dfa": past, "bound": [13, 0]})["result"] == [["a"] * 13]
+
+
+def test_ideal_chained_through_its_text_compiles_the_same():
+    """`poset.ideal` shares one JSON list among the occurrences of a symbol;
+    compiling the response object and compiling its text agree."""
+    x = {"letters": ["a", "b", "a"], "weights": [[1], [0], [1]], "orders": [2]}
+    ideal = run({"cmd": "poset.ideal", "x": x})["result"]
+    symbols = [p["symbol"] for branch in ideal["ordered"]["parts"] for p in branch["parts"] if p["kind"] == "symbol"]
+    assert len({id(s) for s in symbols}) < len(symbols)
+    parsed = json.loads(dumps(ideal))
+    compiled = [
+        run({"cmd": "lang.compile", "expr": q["ordered"], "alphabet": q["congruence"]["alphabet"]})
+        for q in (ideal, parsed)
+    ]
+    assert compiled[0]["status"] == "ok" and compiled[0] == compiled[1]
+
+
+def test_dumps_is_the_canonical_json_text():
+    """On a response to every subcommand, to the automata chain and to an
+    error, `dumps` (no cycle check) writes what plain `json.dumps` writes."""
+    x = {"letters": ["a", "b", "a"], "weights": [[1], [0], [1]], "orders": [2]}
+    ideal = run({"cmd": "poset.ideal", "x": x})
+    dfa = run({"cmd": "lang.compile", "expr": ideal["result"]["ordered"], "alphabet": ideal["result"]["congruence"]["alphabet"]})
+    series = run({"cmd": "genfun.series", "dfa": dfa["result"], "degree": 3})
+    accented = run({"cmd": "lang.compile", "expr": {"kind": "star", "symbols": ["\u00e9"]}, "alphabet": ["\u00e9"]})
+    responses = [run(json.loads(json.dumps(req))) for req in CORPUS] + [ideal, dfa, series, accented, run({"cmd": "nosuch"})]
+    for resp in responses:
+        assert dumps(resp) == json.dumps(resp, sort_keys=True, separators=(",", ":"))
 
 
 def test_determinism_byte_identical():

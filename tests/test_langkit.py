@@ -1,4 +1,5 @@
 import itertools
+import random
 
 import pytest
 from hypothesis import given, settings
@@ -30,6 +31,7 @@ from quasilang.langkit import (
     _minimize,
 )
 from quasilang.wordposet import WeightedWord, principal_ideal_language
+from oracles import moore_minimize
 
 AB = ("a", "b")
 
@@ -234,6 +236,68 @@ def test_glushkov_determinization_matches_the_thompson_reference(expr):
     ref = dfa_to_json(subset_construction(expr, ABC))
     assert dfa_to_json(_minimize(_determinize(expr, ABC))) == ref
     assert dfa_to_json(compile_ordered(expr, ABC)) == ref
+
+
+def random_dfa(rng: random.Random) -> Dfa:
+    """A DFA of 1-60 states over 1-4 symbols with a random start, so some
+    states may be unreachable.  Half of the DFAs copy the states of a
+    smaller core, so many states are equivalent; one in five accepts nothing."""
+    n, k = rng.randint(1, 60), rng.randint(1, 4)
+    core = rng.randint(1, n) if rng.random() < 0.5 else n
+    kind = [q % core for q in range(n)]
+    copies = [[q for q in range(n) if kind[q] == c] for c in range(core)]
+    core_delta = [[rng.randrange(core) for _ in range(k)] for _ in range(core)]
+    delta = [[rng.choice(copies[t]) for t in core_delta[kind[q]]] for q in range(n)]
+    core_accepting = set() if rng.random() < 0.2 else {c for c in range(core) if rng.random() < 0.4}
+    return Dfa("abcd"[:k], delta, rng.randrange(n), {q for q in range(n) if kind[q] in core_accepting})
+
+
+def test_minimize_matches_the_moore_reference():
+    rng = random.Random(20141022)
+    unreachable = without_accepting = merged = 0
+    for _ in range(600):
+        dfa = random_dfa(rng)
+        fast = _minimize(dfa)
+        assert dfa_to_json(fast) == dfa_to_json(moore_minimize(dfa))
+        reached, queue = {dfa.start}, [dfa.start]
+        for q in queue:
+            for t in set(dfa.delta[q]) - reached:
+                reached.add(t)
+                queue.append(t)
+        unreachable += len(reached) < dfa.n_states
+        without_accepting += not dfa.accepting
+        merged += fast.n_states < len(reached)
+    assert unreachable > 100 and without_accepting > 50 and merged > 100
+
+
+def test_fold_automata_pass_the_public_checks(monkeypatch):
+    """The fold builds its automata through `Dfa._trusted`; each of them, on
+    the principal ideals of the words of length <= 3 over {a, b} x Z/2, is
+    rebuilt through the checked `Dfa(...)`."""
+    built = []
+    trusted = Dfa._trusted.__func__
+
+    def recorded(cls, *args):
+        built.append(trusted(cls, *args))
+        return built[-1]
+
+    monkeypatch.setattr(Dfa, "_trusted", classmethod(recorded))
+    group = AbelianGroup((2,))
+    sigma = [(a, w) for a in AB for w in group.elements()]
+    for n in range(4):
+        for combo in itertools.product(sigma, repeat=n):
+            x = WeightedWord(tuple(a for a, _ in combo), tuple(w for _, w in combo), group)
+            q = principal_ideal_language(x, letters=AB)
+            compile_ordered(q.ordered, q.cong.alphabet)
+    for dfa in built:
+        checked = Dfa(dfa.alphabet, dfa.delta, dfa.start, dfa.accepting)
+        assert (checked.delta, checked.accepting) == (dfa.delta, dfa.accepting)
+    assert len(built) > 1000
+
+
+def test_compile_ordered_refuses_a_repeated_symbol():
+    with pytest.raises(ValidationError, match="distinct"):
+        compile_ordered(Union(Sym("a"), Sym("b")), ("a", "b", "a"))
 
 
 def test_compile_ordered_rejects_foreign_symbols():
