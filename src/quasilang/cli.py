@@ -60,8 +60,9 @@ def _norm_from_json(p: Payload, alphabet) -> Norm:
 
 def _budget(req: Payload) -> int:
     """The budget (also the --budget flag) of the simplices of a Segre
-    product, the exponents of a series box, the elements of a group and the
-    words the `lang.enum` search visits."""
+    product, the ranks of a `segre.homology` answer, the exponents of a
+    series box, the elements of a group and the words the `lang.enum` search
+    visits."""
     return req.get("budget", segre.DEFAULT_SIMPLEX_BUDGET).int(0)
 
 
@@ -337,9 +338,11 @@ def _cmd_segre_product(req):
 
 def _cmd_segre_homology(req):
     x = segre.SimplicialComplex.from_json(req["complex"])
-    i_max = req["i_max"].int(0) if "i_max" in req.value else x.dim
-    data = segre.homology_ranks(x, i_max)
-    return {"ranks": {str(k): v for k, v in sorted(data.ranks.items())}}
+    i_max = x.dim
+    if "i_max" in req.value:
+        i_max = req["i_max"].int(0)
+        _fit(req, req["i_max"], "an answer of {} ranks", (i_max + 1,))
+    return {"ranks": {str(k): v for k, v in segre.homology_ranks(x, i_max).items()}}
 
 
 def _cmd_segre_series(req):

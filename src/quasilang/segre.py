@@ -3,10 +3,12 @@ character data of product-group actions on iterated powers.
 
 A subset S of X_0 x Y_0 is a simplex of the Segre product exactly when both
 projections are simplices of the same cardinality as S.  Homology is over Q
-by one sparse exact elimination, factored once per degree: boundary columns
-and cycles go into an echelon form whose rows remember the cycles they came
-from.  Equivariant traces lift group elements to signed chain maps and reduce
-the image of each basis cycle against that stored form.
+by rank-nullity: the boundary maps d_0 .. d_(dim+1) are built once, checked
+to square to zero and each reduced once by one sparse exact elimination, and
+rank H_i = |C_i| - rank d_i - rank d_(i+1).  Equivariant traces need a basis
+of one degree only: its cycles and the boundaries go into an echelon form
+whose rows remember the basis cycles they came from, and the image of each
+basis cycle under a group element reduces against that form.
 """
 
 from __future__ import annotations
@@ -190,56 +192,52 @@ def boundary_matrix(x: SimplicialComplex, i: int) -> list[dict]:
     return [{index[s[:k] + s[k + 1 :]]: (-1) ** k for k in range(len(s))} for s in top]
 
 
-class HomologyData:
-    """Per degree: the rank, a basis of cycles (sparse over the i-simplices)
-    independent modulo boundaries, and the echelon form of the boundaries
-    and that basis, factored once per degree.  The row tags of the form
-    are positions in the basis."""
-
-    def __init__(self, ranks: dict, cycle_bases: dict, forms: dict):
-        self.ranks = ranks
-        self.cycle_bases = cycle_bases
-        self.forms = forms
-
-    def rank(self, i: int) -> int:
-        return self.ranks.get(i, 0)
-
-
-def check_boundary_squares_to_zero(x: SimplicialComplex) -> None:
-    lower = boundary_matrix(x, 1)
-    for i in range(1, x.dim + 1):
-        upper = boundary_matrix(x, i + 1)
+def check_boundary_squares_to_zero(x: SimplicialComplex) -> list[list[dict]]:
+    """The boundary maps d_0 .. d_(dim+1) of x, each built once, after
+    checking that d_i d_(i+1) = 0 for i >= 1."""
+    maps = [boundary_matrix(x, i) for i in range(x.dim + 2)]
+    for lower, upper in zip(maps[1:], maps[2:]):
         for col in upper:
             out: dict = {}
             for r, c in col.items():
                 _axpy(out, c, lower[r])
             if out:
                 raise ValidationError("boundary composed with boundary is nonzero")
-        lower = upper
+    return maps
 
 
-def homology_ranks(x: SimplicialComplex, i_max: int) -> HomologyData:
-    """Ranks of rational simplicial homology up to degree i_max, with a cycle
-    basis per degree and the echelon form that expresses cycles in it."""
-    check_boundary_squares_to_zero(x)
-    ranks, bases, forms = {}, {}, {}
-    d_i = boundary_matrix(x, 0)
-    for i in range(i_max + 1):
-        d_up = boundary_matrix(x, i + 1)
-        kernel = _Echelon()
-        cycles = [kernel.insert(col, {j: 1}) for j, col in enumerate(d_i)]
-        cycles = [z for z in cycles if z is not None]
+def homology_ranks(x: SimplicialComplex, i_max: int) -> dict[int, int]:
+    """Ranks of rational simplicial homology in degrees 0..i_max, by
+    rank-nullity: rank H_i = |C_i| - rank d_i - rank d_(i+1), with each
+    boundary map reduced once.  Degrees past dim have no chains and rank 0,
+    and no map is built for them."""
+    ranks = []
+    for d in check_boundary_squares_to_zero(x):
         form = _Echelon()
-        boundary_rank = sum(form.insert(col, {}) is None for col in d_up)
-        basis = []
-        for z in cycles:
-            if form.insert(z, {len(basis): 1}) is None:
-                basis.append(z)
-        if len(basis) != len(cycles) - boundary_rank:
-            raise AssertionError("homology basis selection disagrees with the rank")
-        ranks[i], bases[i], forms[i] = len(basis), basis, form
-        d_i = d_up
-    return HomologyData(ranks, bases, forms)
+        ranks.append(sum(form.insert(col, {}) is None for col in d))
+    return {i: len(x.simplices[i]) - ranks[i] - ranks[i + 1] if i <= x.dim else 0 for i in range(i_max + 1)}
+
+
+def homology_basis(x: SimplicialComplex, i: int) -> tuple[list[dict], _Echelon]:
+    """A basis of H_i: cycles (sparse over the i-simplices) independent
+    modulo boundaries, and the echelon form of the boundaries and that basis,
+    whose row tags are positions in the basis.  Every boundary map of x is
+    checked first, also when i is past dim and the basis is empty."""
+    maps = check_boundary_squares_to_zero(x)
+    if i > x.dim:
+        return [], _Echelon()
+    kernel = _Echelon()
+    cycles = [kernel.insert(col, {j: 1}) for j, col in enumerate(maps[i])]
+    cycles = [z for z in cycles if z is not None]
+    form = _Echelon()
+    boundary_rank = sum(form.insert(col, {}) is None for col in maps[i + 1])
+    basis = []
+    for z in cycles:
+        if form.insert(z, {len(basis): 1}) is None:
+            basis.append(z)
+    if len(basis) != len(cycles) - boundary_rank:
+        raise AssertionError("homology basis selection disagrees with the rank")
+    return basis, form
 
 
 # ---------------------------------------------------------------------------
@@ -290,18 +288,18 @@ def _signed_image(s: tuple, vertex_map) -> tuple[tuple, int]:
 
 def equivariant_trace(
     complex_: SimplicialComplex,
-    homology: HomologyData,
+    homology: tuple[list[dict], _Echelon],
     i: int,
     vertex_map,
 ) -> Fraction:
-    """Trace of the induced map on H_i: each g.z_j reduces to zero against the
-    stored echelon form, and the tracked combination gives its coordinate."""
-    basis = homology.cycle_bases.get(i, [])
+    """Trace of the induced map on H_i, given the `homology_basis` of degree
+    i: each g.z_j reduces to zero against its echelon form, and the tracked
+    combination gives its coordinate."""
+    basis, form = homology
     if not basis:
         return Fraction(0)
     simplices = complex_.simplices[i]
     index = {s: r for r, s in enumerate(simplices)}
-    form = homology.forms[i]
     trace = 0
     for j, z in enumerate(basis):
         image = {}
@@ -341,7 +339,7 @@ def equivariant_hilbert_data(
     rep_sizes = [action_table.class_sizes[c] for c in rep_class]
     for n in range(1, n_max + 1):
         power = segre_product(*[x] * n, budget=budget)
-        homology = homology_ranks(power, i)
+        homology = homology_basis(power, i)
         traces = {}
         for combo in itertools.product(range(len(class_reps)), repeat=n):
             vmap = {}

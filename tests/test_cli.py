@@ -280,6 +280,45 @@ def test_segre_degrees_out_of_range_are_rejected():
     assert run(dict(series, nmax=1))["status"] == "ok"
 
 
+def test_segre_homology_ranks_are_budgeted():
+    """`i_max` + 1 ranks are charged to the budget; the degrees past the
+    dimension answer 0 without building a boundary map for them."""
+    circle = {"vertices": [1, 2, 3], "facets": [[1, 2], [2, 3], [1, 3]]}
+    homology = {"cmd": "segre.homology", "complex": circle}
+    start = time.monotonic()
+    resp = run(dict(homology, i_max=10**6))
+    elapsed = time.monotonic() - start
+    assert resp == {
+        "status": "error",
+        "diagnostics": ["ValidationError: i_max: an answer of 1000001 ranks exceeds the budget 200000"],
+    }
+    assert elapsed < 1, f"took {elapsed:.1f} s"
+    assert run(dict(homology, i_max=10**200))["diagnostics"] == [
+        "ValidationError: i_max: an answer of more than 10^100 ranks exceeds the budget 200000"
+    ]
+    assert run(dict(homology, i_max=3, budget=3))["diagnostics"] == [
+        "ValidationError: i_max: an answer of 4 ranks exceeds the budget 3"
+    ]
+    ranks = {"0": 1, "1": 1, "2": 0, "3": 0}
+    assert run(dict(homology, i_max=3, budget=4)) == {"status": "ok", "result": {"ranks": ranks}}
+
+
+def test_segre_series_past_the_dimension_is_empty_at_once():
+    edge = {"vertices": [1, 2], "facets": [[1, 2]]}
+    series = {
+        "cmd": "segre.series",
+        "complex": edge,
+        "group": {"construct": "cyclic", "n": 2},
+        "action": [[[1, 1], [2, 2]], [[1, 2], [2, 1]]],
+        "i": 100000,
+    }
+    start = time.monotonic()
+    resp = run(series)
+    elapsed = time.monotonic() - start
+    assert resp == {"status": "ok", "result": [[], []]}
+    assert elapsed < 0.1, f"took {elapsed:.3f} s"
+
+
 def test_poset_series_degree_is_validated():
     base = {"cmd": "poset.series", "orders": [2], "weights": [[1]]}
     for degree, expected in [

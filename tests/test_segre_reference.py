@@ -24,12 +24,14 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from quasilang import segre
+from quasilang.cli import execute_request
 from quasilang.errors import ValidationError
 from quasilang.grouptheory import FiniteGroup, abelian_table
 from quasilang.segre import (
     GroupAction,
     SimplicialComplex,
     equivariant_hilbert_data,
+    homology_basis,
     homology_ranks,
     segre_product,
 )
@@ -312,8 +314,12 @@ def small_complexes(draw) -> SimplicialComplex:
 
 
 def assert_same_homology(x: SimplicialComplex) -> None:
+    """In every degree 0..dim+1, the rank-nullity rank, the size of the
+    per-degree basis and the dense reference's rank agree."""
     i_max = x.dim + 1
-    assert homology_ranks(x, i_max).ranks == dense_homology_ranks(x, i_max).ranks
+    ranks = homology_ranks(x, i_max)
+    assert ranks == dense_homology_ranks(x, i_max).ranks
+    assert [len(homology_basis(x, i)[0]) for i in range(i_max + 1)] == list(ranks.values())
 
 
 def assert_matches_relabeled_power(factors: list[SimplicialComplex]) -> None:
@@ -353,6 +359,19 @@ def test_homology_ranks_match_dense_reference(x):
 
 
 @given(small_complexes())
+@settings(max_examples=20, deadline=None)
+def test_homology_request_builds_each_boundary_map_once(x):
+    """One `segre.homology` request, of the complex or of its square, builds
+    d_0 .. d_(dim+1) once each, whatever `i_max` asks for."""
+    for complex_ in (x, segre_product(x, x)):
+        for extra in ({}, {"i_max": 0}, {"i_max": complex_.dim + 5}):
+            req = {"cmd": "segre.homology", "complex": complex_.to_json(), **extra}
+            with mock.patch.object(segre, "boundary_matrix", wraps=segre.boundary_matrix) as spy:
+                assert execute_request(req)["status"] == "ok"
+            assert spy.call_count == complex_.dim + 2
+
+
+@given(small_complexes())
 @settings(max_examples=60, deadline=None)
 def test_facets_match_all_pairs_rule(x):
     assert x.facets() == all_pairs_facets(x)
@@ -381,7 +400,8 @@ def test_equivariant_hilbert_data_matches_dense_reference(m, seeds, i):
     maps = [{(v,): (rotate(v, g),) for v in range(1, m + 1)} for g in range(m)]
     action = GroupAction(abelian_table(FiniteGroup.cyclic(m)), base, maps)
     sparse = equivariant_hilbert_data(action, i, 2)
-    with mock.patch.object(segre, "homology_ranks", dense_homology_ranks), mock.patch.object(
+    # the dense reference computes degrees 0..i, and its trace reads degree i
+    with mock.patch.object(segre, "homology_basis", dense_homology_ranks), mock.patch.object(
         segre, "equivariant_trace", dense_equivariant_trace
     ):
         dense = equivariant_hilbert_data(action, i, 2)
@@ -392,8 +412,9 @@ def test_traces_match_dense_reference_on_every_rotation():
     """Trace by trace, not only through the multiplicities."""
     circle = SimplicialComplex([1, 2, 3], [[1, 2], [2, 3], [1, 3]])
     power = segre_product(circle, circle)
-    sparse, dense = homology_ranks(power, 1), dense_homology_ranks(power, 1)
+    dense = dense_homology_ranks(power, 1)
     for i in (0, 1):
+        sparse = homology_basis(power, i)
         for g, h in itertools.product(range(3), repeat=2):
             vmap = {v: ((v[0] - 1 + g) % 3 + 1, (v[1] - 1 + h) % 3 + 1) for v in power.vertices}
             assert segre.equivariant_trace(power, sparse, i, vmap) == dense_equivariant_trace(
