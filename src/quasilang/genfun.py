@@ -523,7 +523,8 @@ class SeriesTruncation:
             "order": self.order,
             "bound": list(self.bound),
             "coefficients": [
-                [list(e), cyclotomic_to_json(c)] for e, c in sorted(self.coefficients.items())
+                [list(e), [1, [str(c)]] if type(c) is int else cyclotomic_to_json(c)]
+                for e, c in sorted(self.coefficients.items())
             ],
         }
 

@@ -24,7 +24,7 @@ from functools import lru_cache
 from math import factorial, lcm
 from operator import itemgetter
 
-from .cyclotomic import CyclotomicNumber
+from .cyclotomic import CyclotomicNumber, _field, _make, _mul_num, _substitute
 from .errors import UnsupportedGroupError, ValidationError
 
 # ---------------------------------------------------------------------------
@@ -77,29 +77,29 @@ def cycle_type(perm: tuple[int, ...]) -> tuple[int, ...]:
 
 
 @lru_cache(maxsize=None)
+def _border_strips(lam: tuple[int, ...], k: int) -> tuple[tuple[int, tuple[int, ...]], ...]:
+    """The k-border strips of the partition lam as (sign, lam minus the strip):
+    on beta numbers a strip moves some b to a free b - k, its height is the
+    number of beta numbers jumped."""
+    r = len(lam)
+    betas = [p + r - 1 - i for i, p in enumerate(lam)]  # strictly decreasing
+    out = []
+    for b in betas:
+        if b >= k and b - k not in betas:
+            moved = sorted([c for c in betas if c != b] + [b - k], reverse=True)
+            smaller = tuple(p for p in (c - (r - 1 - i) for i, c in enumerate(moved)) if p > 0)
+            out.append(((-1) ** sum(b - k < c < b for c in betas), smaller))
+    return tuple(out)
+
+
+@lru_cache(maxsize=None)
 def mn_character(lam: tuple[int, ...], mu: tuple[int, ...]) -> int:
-    """Symmetric-group character chi_lam at cycle type mu, by border-strip
-    recursion on beta numbers."""
+    """Symmetric-group character chi_lam at cycle type mu by the
+    Murnaghan-Nakayama rule: sum over the mu[0]-border strips of lam of
+    (-1)^height chi_(lam minus the strip)(mu[1:])."""
     if sum(lam) != sum(mu):
         raise ValidationError("partition and cycle type have different sizes")
-    if not mu:
-        return 1
-    k = mu[0]
-    rest = mu[1:]
-    r = len(lam)
-    betas = tuple(lam[i] + (r - 1 - i) for i in range(r))  # strictly decreasing
-    beta_set = set(betas)
-    total = 0
-    for b in betas:
-        target = b - k
-        if target < 0 or target in beta_set:
-            continue
-        height = sum(1 for c in betas if target < c < b)
-        new_betas = sorted((beta_set - {b}) | {target}, reverse=True)
-        new_lam = tuple(nb - (r - 1 - i) for i, nb in enumerate(new_betas))
-        new_lam = tuple(p for p in new_lam if p > 0)
-        total += (-1) ** height * mn_character(new_lam, rest)
-    return total
+    return sum(sign * mn_character(smaller, mu[1:]) for sign, smaller in _border_strips(lam, mu[0])) if mu else 1
 
 
 # ---------------------------------------------------------------------------
@@ -261,9 +261,6 @@ class FiniteGroup:
     def from_json(cls, data: dict) -> "FiniteGroup":
         return cls(data["table"], name=data.get("name", "G"))
 
-    def to_json(self) -> dict:
-        return {"name": self.name, "table": [list(row) for row in self.table]}
-
 
 # ---------------------------------------------------------------------------
 # linear characters of abelian groups (iterative extension along generators)
@@ -406,11 +403,22 @@ def multiplicity(class_sizes, a, b, what: str) -> int:
 
     For characters a and b this is dim Hom(b, a), the multiplicity of b in a
     when b is irreducible, so anything but a non-negative integer raises a
-    ValidationError naming `what`."""
-    total = CyclotomicNumber.zero()
+    ValidationError naming `what`.  The sum is one integer vector in
+    Q(zeta_N), N the lcm of the orders of the values, over den^2 |G|."""
+    order = lcm(*(x.order for x in a), *(y.order for y in b))
+    den = lcm(*(x._den for x in a), *(y._den for y in b))
+    d, rows = _field(order)
+    total = [0] * d
     for size, x, y in zip(class_sizes, a, b):
-        total = total + x * y.conjugate() * size
-    q = (total * Fraction(1, sum(class_sizes))).rational_value()
+        # x lifted to the order, and conj(y) lifted: zeta_m -> zeta_order^(-order/m)
+        xs = _substitute(x._num, rows, order // x.order, order, d)
+        ys = _substitute(y._num, rows, -(order // y.order), order, d)
+        f = size * den * den // (x._den * y._den)
+        total = [c + f * p for c, p in zip(total, _mul_num(xs, ys, rows))]
+    den *= den * sum(class_sizes)
+    if any(total[1:]):
+        _make(order, total, den).rational_value()  # raises "... is not rational"
+    q = Fraction(total[0], den)
     if q.denominator != 1 or q < 0:
         raise ValidationError(f"{what}: expected a non-negative integer multiplicity, got {q}")
     return int(q)

@@ -300,11 +300,12 @@ def equivariant_trace(
         return Fraction(0)
     simplices = complex_.simplices[i]
     index = {s: r for r, s in enumerate(simplices)}
+    images = {c: _signed_image(simplices[c], vertex_map) for c in set().union(*basis)}
     trace = 0
     for j, z in enumerate(basis):
         image = {}
         for c, coeff in z.items():
-            target, sign = _signed_image(simplices[c], vertex_map)
+            target, sign = images[c]
             image[index[target]] = sign * coeff
         rest, combo = form.reduce(image, {})
         if rest:

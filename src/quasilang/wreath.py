@@ -2,10 +2,11 @@
 
 Conjugacy classes are labeled by maps from the classes of G to partitions
 (cycle lengths by the class of the cycle product), irreducibles by maps from
-the irreducibles of G to partitions.  Characters are assembled from base
-blocks V wr M_mu by induction of class functions, with class fusion computed
-combinatorially on labels; the explicit group is never built except for
-small-order validation in the tests.
+the irreducibles of G to partitions.  Characters follow the wreath
+Murnaghan-Nakayama rule (Macdonald, Symmetric Functions, 2nd ed., I, app. B):
+with (k, c) the largest cycle of rho, chi^lam(rho) = sum_v chi_v(c) sum over
+k-border strips xi of lam(v) of (-1)^ht(xi) chi^(lam - xi)(rho minus that
+cycle), kept per table by (lam, rho).  No explicit group is built.
 """
 
 from __future__ import annotations
@@ -13,12 +14,13 @@ from __future__ import annotations
 import itertools
 from dataclasses import dataclass
 from fractions import Fraction
-from math import factorial
+from functools import lru_cache
+from math import factorial, lcm
 
-from .cyclotomic import CyclotomicNumber
+from .cyclotomic import CyclotomicNumber, _field, _make, _mul_num
 from .errors import ValidationError
 from .genfun import FactoredRational, LinearForm
-from .grouptheory import CharacterTable, mn_character, multiplicity, partitions
+from .grouptheory import CharacterTable, _border_strips, centralizer_order, multiplicity, partitions
 
 # a wreath label is a tuple of partitions, one per class (or irreducible) of G
 WreathLabel = tuple
@@ -54,14 +56,12 @@ def wreath_group_order(table: CharacterTable, n: int) -> int:
 
 
 def wreath_class_size(table: CharacterTable, n: int, label: WreathLabel) -> int:
-    """Size via the centralizer: prod over (class c, length k) of
-    k^m * m! * (#G/#c)^m with m the multiplicity of k in label[c]."""
+    """Size via the centralizer: prod over the classes c of z_(label[c])
+    (#G/#c)^(number of cycles of class c)."""
+    order = table.group_order
     z = 1
     for c, part in enumerate(label):
-        zc = table.group_order // table.class_sizes[c]
-        for k in set(part):
-            m = part.count(k)
-            z *= (k * zc) ** m * factorial(m)
+        z *= centralizer_order(part) * (order // table.class_sizes[c]) ** len(part)
     return wreath_group_order(table, n) // z
 
 
@@ -94,12 +94,8 @@ class ClassFunction:
     n: int
     values: dict
 
-    def value(self, label: WreathLabel) -> CyclotomicNumber:
-        return self.values[label]
-
     def dim(self) -> int:
-        v = self.value(identity_label(self.table, self.n))
-        return int(v.rational_value())
+        return int(self.values[identity_label(self.table, self.n)].rational_value())
 
     def __mul__(self, other: "ClassFunction") -> "ClassFunction":
         if self.n != other.n:
@@ -124,48 +120,9 @@ def wreath_inner_product(a: ClassFunction, b: ClassFunction) -> int:
     )
 
 
-def _merged_cycle_type(label: WreathLabel) -> tuple[int, ...]:
-    parts = []
-    for p in label:
-        parts.extend(p)
-    return tuple(sorted(parts, reverse=True))
-
-
-def _block_character(table: CharacterTable, v: int, mu: tuple[int, ...]) -> ClassFunction:
-    """Character of V wr M_mu on the wreath product of degree |mu|:
-    chi(sigma; g) = chi_mu(cycle type) * prod over cycles of chi_V(class of
-    the cycle product).  Built once per table, V and mu."""
-    key = ("wreath.block", v, mu)
-    block = table.memo.get(key)
-    if block is not None:
-        return block
-    m = sum(mu)
-    values = {}
-    for label, _ in _classes(table, m):
-        coeff = CyclotomicNumber.from_rational(
-            mn_character(mu, _merged_cycle_type(label))
-        )
-        for c, part in enumerate(label):
-            if part:
-                coeff = coeff * table.rows[v][c] ** len(part)
-        values[label] = coeff
-    block = table.memo[key] = ClassFunction(table, m, values)
-    return block
-
-
-def _fuse(labels: tuple[WreathLabel, ...], n_classes: int) -> WreathLabel:
-    merged = []
-    for c in range(n_classes):
-        parts = []
-        for label in labels:
-            parts.extend(label[c])
-        merged.append(tuple(sorted(parts, reverse=True)))
-    return tuple(merged)
-
-
 def wreath_irreducible_character(table: CharacterTable, lam: WreathLabel) -> ClassFunction:
-    """The irreducible labeled by the partition-valued function lam: blocks
-    V wr M_(lam V) on the factors, induced up with combinatorial fusion.
+    """The irreducible labeled by the partition-valued function lam, by the
+    wreath Murnaghan-Nakayama rule (see the module docstring).
 
     Each character is built once per table and kept in `table.memo`, so the
     class function returned is shared: do not mutate its values."""
@@ -174,41 +131,70 @@ def wreath_irreducible_character(table: CharacterTable, lam: WreathLabel) -> Cla
     key = ("wreath.char", lam)
     chi = table.memo.get(key)
     if chi is None:
-        chi = table.memo[key] = _induced_character(table, lam)
+        chi = table.memo[key] = _mn_character(table, lam)
     return chi
 
 
-def _induced_character(table: CharacterTable, lam: WreathLabel) -> ClassFunction:
-    n = label_size(lam)
-    slots = [v for v in range(len(lam)) if lam[v]]
-    if not slots:
-        # degree zero: the empty character
-        return ClassFunction(table, 0, {(): CyclotomicNumber.one()} if n == 0 else {})
-    blocks = [_block_character(table, v, lam[v]) for v in slots]
-    sub_order = 1
-    for b in blocks:
-        sub_order *= wreath_group_order(table, b.n)
-    big_order = wreath_group_order(table, n)
-    sums: dict = {}
-    block_classes = [_classes(table, b.n) for b in blocks]
-    for combo in itertools.product(*block_classes):
-        sub_size = 1
-        value = CyclotomicNumber.one()
-        for (label, size), block in zip(combo, blocks):
-            sub_size *= size
-            value = value * block.values[label]
-        fused = _fuse(tuple(label for label, _ in combo), table.n_classes)
-        prev = sums.get(fused)
-        contrib = value * sub_size
-        sums[fused] = contrib if prev is None else prev + contrib
+def _mn_character(table: CharacterTable, lam: WreathLabel) -> ClassFunction:
+    bins = tuple(sorted(sum(p) for p in lam if p))
+    if not bins:  # degree zero: the empty character
+        return ClassFunction(table, 0, {(): CyclotomicNumber.one()})
+    order, rows, coords, memo = _mn_state(table)
     values = {}
-    for label, size in _classes(table, n):
-        acc = sums.get(label)
-        if acc is None:
-            values[label] = CyclotomicNumber.zero()
+    for rho, _ in _classes(table, sum(bins)):
+        if _fits(bins, tuple(sorted(itertools.chain(*rho), reverse=True))):
+            values[rho] = _make(order, memo.get((lam, rho)) or _mn_value(memo, rows, coords, lam, rho))
         else:
-            values[label] = acc * Fraction(big_order, sub_order * size)
-    return ClassFunction(table, n, values)
+            values[rho] = CyclotomicNumber.zero()
+    return ClassFunction(table, sum(bins), values)
+
+
+def _mn_state(table: CharacterTable) -> tuple:
+    """(N, x^k mod Phi_N rows, coords[v][c] of table.rows[v][c] in Z[zeta_N],
+    values found so far by (lam, rho)), N the lcm of the entries' orders."""
+    out = table.memo.get("wreath.mn")
+    if out is None:
+        order = lcm(*(x.order for row in table.rows for x in row))
+        lifted = [[x.lift(order) for x in row] for row in table.rows]
+        if not all(x.is_integral() for row in lifted for x in row):
+            raise ValidationError("wreath characters need character values in Z[zeta_N]")
+        d, rows = _field(order)
+        memo = {(((),) * len(table.rows), ((),) * table.n_classes): (1,) + (0,) * (d - 1)}  # degree zero
+        out = table.memo["wreath.mn"] = (order, rows, [[x._num for x in row] for row in lifted], memo)
+    return out
+
+
+def _mn_value(memo: dict, rows, coords, lam: WreathLabel, rho: WreathLabel) -> tuple[int, ...]:
+    """chi^lam(rho) for rho not empty, as integer coordinates (a non-empty
+    tuple), by the rule of the module docstring; stored in `memo`."""
+    c = rho.index(max(rho))
+    rest = rho[:c] + (rho[c][1:],) + rho[c + 1 :]
+    total = [0] * len(coords[0][0])
+    for v, part in enumerate(lam):
+        acc = [0] * len(total)
+        for sign, smaller in _border_strips(part, rho[c][0]):
+            key = (lam[:v] + (smaller,) + lam[v + 1 :], rest)
+            sub = memo.get(key) or _mn_value(memo, rows, coords, *key)
+            acc = [a + b for a, b in zip(acc, sub)] if sign > 0 else [a - b for a, b in zip(acc, sub)]
+        if any(acc):
+            total = [t + p for t, p in zip(total, _mul_num(coords[v][c], acc, rows))]
+    out = memo[lam, rho] = tuple(total)
+    return out
+
+
+@lru_cache(maxsize=None)
+def _fits(bins: tuple[int, ...], cycles: tuple[int, ...]) -> bool:
+    """Whether the cycle lengths (descending) split into groups summing to the
+    bin sizes |lam(v)|.  Inducing the blocks V wr M_lam(v) up reaches just
+    those classes, so they alone are written in Q(zeta_N), zeros included."""
+    if not cycles:
+        return True
+    k, rest = cycles[0], cycles[1:]
+    return any(
+        _fits(tuple(sorted(bins[:i] + (b - k,) + bins[i + 1 :])), rest)
+        for i, b in enumerate(bins)
+        if b >= k and (i == 0 or bins[i - 1] != b)
+    )
 
 
 # ---------------------------------------------------------------------------

@@ -8,6 +8,10 @@ Not a test module (pytest does not collect it); test files import it by name.
 - `decompose_induced` and `induced_monomial_image` decompose the diagonal
   induction by Frobenius reciprocity, the oracle for
   `wreath.diag_induced_series`.
+- `induced_wreath_character` induces the blocks V wr M_mu of an irreducible
+  of a wreath product up from its Young-type subgroup, with class fusion
+  on labels, the oracle for the Murnaghan-Nakayama kernel of
+  `wreath.wreath_irreducible_character`.
 - `surjection_series` counts weight-preserving surjections one exponent at a
   time, the oracle for `wordposet.fws_principal_series`.
 - `elementwise_symmetric_table` composes every pair of permutations, the
@@ -23,15 +27,17 @@ Not a test module (pytest does not collect it); test files import it by name.
 from __future__ import annotations
 
 import itertools
+from fractions import Fraction
 from math import factorial
 from operator import itemgetter
 
 from quasilang.cyclotomic import CyclotomicNumber
 from quasilang.errors import ValidationError
 from quasilang.genfun import SeriesTruncation
-from quasilang.grouptheory import CharacterTable, FiniteGroup, multiplicity
+from quasilang.grouptheory import CharacterTable, FiniteGroup, mn_character, multiplicity
 from quasilang.langkit import Dfa
 from quasilang.wordposet import WeightedWord, minimal_fiber_words, theta_vector
+from quasilang.wreath import label_size, wreath_classes, wreath_group_order
 
 # ---------------------------------------------------------------------------
 # the ideal-side recognizer
@@ -197,6 +203,68 @@ def induced_monomial_image(table: CharacterTable, i: int, n: int) -> dict:
         key = tuple(content)
         poly[key] = poly.get(key, 0) + mult
     return poly
+
+
+# ---------------------------------------------------------------------------
+# the induction oracle for wreath characters
+
+
+def _block_character(table: CharacterTable, v: int, mu: tuple[int, ...]) -> dict:
+    """Character of V wr M_mu on the wreath product of degree |mu|:
+    chi(sigma; g) = chi_mu(cycle type) * prod over cycles of chi_V(class of
+    the cycle product)."""
+    values = {}
+    for label, _ in wreath_classes(table, sum(mu)):
+        cycle_type = tuple(sorted(itertools.chain(*label), reverse=True))
+        coeff = CyclotomicNumber.from_rational(mn_character(mu, cycle_type))
+        for c, part in enumerate(label):
+            if part:
+                coeff = coeff * table.rows[v][c] ** len(part)
+        values[label] = coeff
+    return values
+
+
+def _fuse(labels: tuple, n_classes: int) -> tuple:
+    return tuple(
+        tuple(sorted(itertools.chain(*(label[c] for label in labels)), reverse=True))
+        for c in range(n_classes)
+    )
+
+
+def induced_wreath_character(table: CharacterTable, lam: tuple) -> dict:
+    """The values {class label: CyclotomicNumber} of the irreducible labeled
+    by lam: the blocks V wr M_(lam V) on the factors, induced up with
+    combinatorial fusion.  A class no tuple of block classes fuses to gets
+    the rational 0."""
+    n = label_size(lam)
+    slots = [v for v in range(len(lam)) if lam[v]]
+    if not slots:
+        return {(): CyclotomicNumber.one()} if n == 0 else {}
+    blocks = [_block_character(table, v, lam[v]) for v in slots]
+    sizes = [sum(lam[v]) for v in slots]
+    sub_order = 1
+    for m in sizes:
+        sub_order *= wreath_group_order(table, m)
+    big_order = wreath_group_order(table, n)
+    sums: dict = {}
+    for combo in itertools.product(*(wreath_classes(table, m) for m in sizes)):
+        sub_size = 1
+        value = CyclotomicNumber.one()
+        for (label, size), block in zip(combo, blocks):
+            sub_size *= size
+            value = value * block[label]
+        fused = _fuse(tuple(label for label, _ in combo), table.n_classes)
+        prev = sums.get(fused)
+        contrib = value * sub_size
+        sums[fused] = contrib if prev is None else prev + contrib
+    values = {}
+    for label, size in wreath_classes(table, n):
+        acc = sums.get(label)
+        if acc is None:
+            values[label] = CyclotomicNumber.zero()
+        else:
+            values[label] = acc * Fraction(big_order, sub_order * size)
+    return values
 
 
 # ---------------------------------------------------------------------------

@@ -570,6 +570,9 @@ def test_integer_fields_are_not_coerced():
         (dict(stability, n_range=["2", 3.5]), "n_range[0] must be an integer, got '2'"),
         (dict(stability, n_range=[2, 3.5]), "n_range[1] must be an integer, got 3.5"),
         ({"cmd": "wreath.char", "group": z2, "lambda": [[1.0], []]}, "lambda[0][0] must be an integer, got 1.0"),
+        ({"cmd": "wreath.char", "group": z2, "lambda": [[1, 3], []]},
+         "lambda[0] must be a partition, its parts non-increasing, got [1, 3]"),
+        (dict(stability, nu=[[], [2, 2, 3]]), "nu[1] must be a partition, its parts non-increasing, got [2, 2, 3]"),
         ({"cmd": "genfun.translate", "rational": rational, "exponents": [1.5, 0]}, "exponents[0] must be an integer, got 1.5"),
         (dict(filt, orders=[2.0]), "orders[0] must be an integer, got 2.0"),
         (dict(filt, psi=[["1"], [0]]), "psi[0][0] must be an integer, got '1'"),

@@ -21,6 +21,7 @@ from __future__ import annotations
 
 import itertools
 import random
+import re
 from fractions import Fraction
 
 import pytest
@@ -268,6 +269,15 @@ def test_multiplicity_rejects_what_is_not_a_multiplicity():
         multiplicity(z2.class_sizes, one_point, triv, "test")
     with pytest.raises(ValidationError, match="test: .* got -1"):
         multiplicity(z2.class_sizes, [-x for x in triv], triv, "test")
+    # a total that is not rational is named at the lcm of the orders
+    z4 = character_table(FiniteGroup.cyclic(4))
+    with pytest.raises(ValidationError, match=re.escape("(1)*z4 is not rational")):
+        multiplicity(z4.class_sizes, [CyclotomicNumber.root(4)] * 4, z4.rows[z4.trivial_index()], "test")
+    a = [CyclotomicNumber.root(4), CyclotomicNumber.one(), CyclotomicNumber.zero(), CyclotomicNumber.root(3)]
+    b = [CyclotomicNumber.one(), CyclotomicNumber.root(6), CyclotomicNumber.from_rational(Fraction(1, 3)), CyclotomicNumber.root(4, 3)]
+    message = "1/4 + (-1/4)*z12 + (-1/4)*z12^2 + (1/4)*z12^3 is not rational"
+    with pytest.raises(ValidationError, match=re.escape(message)):
+        multiplicity(z4.class_sizes, a, b, "test")
 
 
 # ---------------------------------------------------------------------------

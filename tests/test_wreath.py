@@ -3,7 +3,7 @@ from fractions import Fraction
 
 import pytest
 
-from quasilang.cyclotomic import CyclotomicNumber
+from quasilang.cyclotomic import CyclotomicNumber, cyclotomic_to_json
 from quasilang.genfun import FactoredRational, LinearForm
 from quasilang.grouptheory import FiniteGroup, character_table, symmetric_table
 from quasilang.cli import dumps, execute_request
@@ -19,7 +19,7 @@ from quasilang.wreath import (
     wreath_labels,
 )
 
-from oracles import decompose_induced, induced_monomial_image
+from oracles import decompose_induced, induced_monomial_image, induced_wreath_character
 
 Z2 = character_table(FiniteGroup.cyclic(2))
 Z3 = character_table(FiniteGroup.cyclic(3))
@@ -251,3 +251,44 @@ def test_repeated_stability_requests_are_byte_identical():
     first = dumps(execute_request(dict(req)))
     assert '"status":"ok"' in first
     assert dumps(execute_request(dict(req))) == first
+
+
+DIFFERENTIAL_GROUPS = {
+    "Z1": (lambda: FiniteGroup.cyclic(1), 4),
+    "Z2": (lambda: FiniteGroup.cyclic(2), 4),
+    "Z4": (lambda: FiniteGroup.cyclic(4), 4),
+    "S3": (lambda: FiniteGroup.symmetric(3), 4),
+    "Z2xZ2": (lambda: FiniteGroup.direct_product(FiniteGroup.cyclic(2), FiniteGroup.cyclic(2)), 4),
+    "Z2xS3": (lambda: FiniteGroup.direct_product(FiniteGroup.cyclic(2), FiniteGroup.symmetric(3)), 3),
+    "S4": (lambda: FiniteGroup.symmetric(4), 3),
+}
+
+
+@pytest.mark.parametrize("name", sorted(DIFFERENTIAL_GROUPS))
+def test_murnaghan_nakayama_matches_induction(name):
+    """Every label up to the group's top degree (680 labels in all), and the
+    empty one: the same classes, and the same JSON for every value, so a
+    zero keeps its order (Q(zeta_N) where the class's cycles fit the sizes
+    |lam(v)|, the rationals elsewhere)."""
+    build, top = DIFFERENTIAL_GROUPS[name]
+    for n in range(top + 1):
+        table, reference = character_table(build()), character_table(build())
+        for lam in wreath_labels(len(table.rows), n):
+            chi = wreath_irreducible_character(table, lam)
+            expected = induced_wreath_character(reference, lam)
+            assert list(chi.values) == list(expected), (name, lam)
+            got = {k: cyclotomic_to_json(v) for k, v in chi.values.items()}
+            assert got == {k: cyclotomic_to_json(v) for k, v in expected.items()}, (name, lam)
+
+
+def test_zero_orders_follow_the_fit_of_the_cycles():
+    chi = wreath_irreducible_character(Z3, ((2, 1), (), ()))
+    assert cyclotomic_to_json(chi.values[((2, 1), (), ())]) == [3, ["0", "0"]]
+    # one bin of size 3 takes every class of degree 3
+    assert all(v.order == 3 for v in chi.values.values())
+    # bins 2 and 1 miss the 3-cycles
+    mixed = wreath_irreducible_character(Z3, ((1, 1), (1,), ()))
+    assert cyclotomic_to_json(mixed.values[((3,), (), ())]) == [1, ["0"]]
+    assert cyclotomic_to_json(mixed.values[((), (), (3,))]) == [1, ["0"]]
+    assert cyclotomic_to_json(mixed.values[((2,), (1,), ())])[0] == 3
+
