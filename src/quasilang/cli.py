@@ -287,8 +287,9 @@ def _wreath_table(req) -> grouptheory.CharacterTable:
 def _label_from_json(p: Payload, table: grouptheory.CharacterTable) -> tuple:
     """A wreath label: one partition, a list of non-increasing positive
     parts, per irreducible of the table."""
-    label = tuple(part.ints(1) for part in p.list(len(table.rows)))
-    for part, parts in zip(p.list(), label):
+    entries = p.list(len(table.rows))
+    label = tuple(part.ints(1) for part in entries)
+    for part, parts in zip(entries, label):
         if any(a < b for a, b in zip(parts, parts[1:])):
             raise part.expected("a partition, its parts non-increasing")
     return label

@@ -352,6 +352,39 @@ class CyclotomicNumber:
         return " + ".join(terms)
 
 
+# -- integer coordinates, for kernels that sum many products ---------------
+
+
+def integer_coordinates(values, order: int = 1, conjugate: bool = False) -> tuple[int, list, int]:
+    """(N, nums, den) for a sequence of values: N the lcm of `order` and their
+    orders, and nums[i] / den the coordinates in Q(zeta_N) of values[i], or of
+    its complex conjugate, integer vectors over one common den."""
+    # lists, not generators: *args from a generator builds a resized tuple that
+    # leaves the cyclic GC's allocation count raised, so collections come sooner
+    n, den = lcm(order, *[x.order for x in values]), lcm(*[x._den for x in values])
+    d, rows = _field(n)
+    step = -n if conjugate else n  # zeta_m -> zeta_n^(+-n/m), the identity when n <= 2
+    nums = [x._num if n <= 2 or step == x.order else _substitute(x._num, rows, step // x.order, n, d) for x in values]
+    if den > 1:
+        nums = [[c * (den // x._den) for c in num] for x, num in zip(values, nums)]
+    return n, nums, den
+
+
+def sum_of_products(terms, order: int) -> list[int]:
+    """The integer coordinates in Q(zeta_order) of the sum of s * a * b over
+    the (s, a, b) in terms, a and b integer coordinate vectors there."""
+    d, rows = _field(order)
+    total = [0] * d
+    for s, a, b in terms:
+        total = [t + s * p for t, p in zip(total, _mul_num(a, b, rows))]
+    return total
+
+
+def from_coordinates(order: int, num, den: int = 1) -> CyclotomicNumber:
+    """The number num / den of Q(zeta_order), num integer coordinates."""
+    return _make(order, num, den)
+
+
 # -- JSON serialization: [N, ["p/q", ...]] with rationals as strings --------
 
 

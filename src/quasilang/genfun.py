@@ -21,6 +21,7 @@ from .cyclotomic import (
     _make,
     cyclotomic_from_json,
     cyclotomic_to_json,
+    integer_coordinates,
 )
 from .errors import AmbiguousExpressionError, Payload, ValidationError
 from .langkit import (
@@ -461,11 +462,8 @@ class FactoredRational:
         ]
         order = p["order"].int(1)
         numerator = {e: c.lift(order) for e, c in numerator.items() if not c.is_zero()}
-        den = lcm(*(c._den for c in numerator.values()))
-        num = [{} for _ in range(_field(order)[0])]
-        for e, c in numerator.items():
-            for col, x in zip(num, c._num):
-                col[e] = x * (den // c._den)
+        _, nums, den = integer_coordinates(numerator.values(), order)
+        num = [{e: x[k] for e, x in zip(numerator, nums)} for k in range(_field(order)[0])]
         return cls(nvars, order, num, den, factors)
 
 
@@ -523,8 +521,7 @@ class SeriesTruncation:
             "order": self.order,
             "bound": list(self.bound),
             "coefficients": [
-                [list(e), [1, [str(c)]] if type(c) is int else cyclotomic_to_json(c)]
-                for e, c in sorted(self.coefficients.items())
+                [list(e), cyclotomic_to_json(c)] for e, c in sorted(self.coefficients.items())
             ],
         }
 

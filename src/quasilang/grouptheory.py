@@ -24,7 +24,7 @@ from functools import lru_cache
 from math import factorial, lcm
 from operator import itemgetter
 
-from .cyclotomic import CyclotomicNumber, _field, _make, _mul_num, _substitute
+from .cyclotomic import CyclotomicNumber, from_coordinates, integer_coordinates, sum_of_products
 from .errors import UnsupportedGroupError, ValidationError
 
 # ---------------------------------------------------------------------------
@@ -403,21 +403,13 @@ def multiplicity(class_sizes, a, b, what: str) -> int:
 
     For characters a and b this is dim Hom(b, a), the multiplicity of b in a
     when b is irreducible, so anything but a non-negative integer raises a
-    ValidationError naming `what`.  The sum is one integer vector in
-    Q(zeta_N), N the lcm of the orders of the values, over den^2 |G|."""
-    order = lcm(*(x.order for x in a), *(y.order for y in b))
-    den = lcm(*(x._den for x in a), *(y._den for y in b))
-    d, rows = _field(order)
-    total = [0] * d
-    for size, x, y in zip(class_sizes, a, b):
-        # x lifted to the order, and conj(y) lifted: zeta_m -> zeta_order^(-order/m)
-        xs = _substitute(x._num, rows, order // x.order, order, d)
-        ys = _substitute(y._num, rows, -(order // y.order), order, d)
-        f = size * den * den // (x._den * y._den)
-        total = [c + f * p for c, p in zip(total, _mul_num(xs, ys, rows))]
-    den *= den * sum(class_sizes)
+    ValidationError naming `what`."""
+    order, xs, den_a = integer_coordinates(a, lcm(*[y.order for y in b]))
+    _, ys, den_b = integer_coordinates(b, order, conjugate=True)
+    total = sum_of_products(zip(class_sizes, xs, ys), order)
+    den = den_a * den_b * sum(class_sizes)
     if any(total[1:]):
-        _make(order, total, den).rational_value()  # raises "... is not rational"
+        from_coordinates(order, total, den).rational_value()  # raises "... is not rational"
     q = Fraction(total[0], den)
     if q.denominator != 1 or q < 0:
         raise ValidationError(f"{what}: expected a non-negative integer multiplicity, got {q}")

@@ -15,9 +15,9 @@ import itertools
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import lru_cache
-from math import factorial, lcm
+from math import factorial
 
-from .cyclotomic import CyclotomicNumber, _field, _make, _mul_num
+from .cyclotomic import CyclotomicNumber, from_coordinates, integer_coordinates, sum_of_products
 from .errors import ValidationError
 from .genfun import FactoredRational, LinearForm
 from .grouptheory import CharacterTable, _border_strips, centralizer_order, multiplicity, partitions
@@ -139,46 +139,40 @@ def _mn_character(table: CharacterTable, lam: WreathLabel) -> ClassFunction:
     bins = tuple(sorted(sum(p) for p in lam if p))
     if not bins:  # degree zero: the empty character
         return ClassFunction(table, 0, {(): CyclotomicNumber.one()})
-    order, rows, coords, memo = _mn_state(table)
+    order, coords, memo = _mn_state(table)
     values = {}
     for rho, _ in _classes(table, sum(bins)):
         if _fits(bins, tuple(sorted(itertools.chain(*rho), reverse=True))):
-            values[rho] = _make(order, memo.get((lam, rho)) or _mn_value(memo, rows, coords, lam, rho))
+            values[rho] = from_coordinates(order, memo.get((lam, rho)) or _mn_value(memo, order, coords, lam, rho))
         else:
             values[rho] = CyclotomicNumber.zero()
     return ClassFunction(table, sum(bins), values)
 
 
 def _mn_state(table: CharacterTable) -> tuple:
-    """(N, x^k mod Phi_N rows, coords[v][c] of table.rows[v][c] in Z[zeta_N],
-    values found so far by (lam, rho)), N the lcm of the entries' orders."""
+    """(N, coords[v][c] of table.rows[v][c] in Z[zeta_N], values found so far
+    by (lam, rho)), N the lcm of the orders of the entries."""
     out = table.memo.get("wreath.mn")
     if out is None:
-        order = lcm(*(x.order for row in table.rows for x in row))
-        lifted = [[x.lift(order) for x in row] for row in table.rows]
-        if not all(x.is_integral() for row in lifted for x in row):
-            raise ValidationError("wreath characters need character values in Z[zeta_N]")
-        d, rows = _field(order)
-        memo = {(((),) * len(table.rows), ((),) * table.n_classes): (1,) + (0,) * (d - 1)}  # degree zero
-        out = table.memo["wreath.mn"] = (order, rows, [[x._num for x in row] for row in lifted], memo)
+        order, nums, den = integer_coordinates([x for row in table.rows for x in row])
+        assert den == 1, "character values lie in Z[zeta_N]"
+        k = table.n_classes
+        memo = {(((),) * len(table.rows), ((),) * k): (1,) + (0,) * (len(nums[0]) - 1)}  # degree zero
+        out = table.memo["wreath.mn"] = (order, [nums[i : i + k] for i in range(0, len(nums), k)], memo)
     return out
 
 
-def _mn_value(memo: dict, rows, coords, lam: WreathLabel, rho: WreathLabel) -> tuple[int, ...]:
+def _mn_value(memo: dict, order: int, coords, lam: WreathLabel, rho: WreathLabel) -> tuple[int, ...]:
     """chi^lam(rho) for rho not empty, as integer coordinates (a non-empty
     tuple), by the rule of the module docstring; stored in `memo`."""
     c = rho.index(max(rho))
     rest = rho[:c] + (rho[c][1:],) + rho[c + 1 :]
-    total = [0] * len(coords[0][0])
+    terms = []
     for v, part in enumerate(lam):
-        acc = [0] * len(total)
         for sign, smaller in _border_strips(part, rho[c][0]):
             key = (lam[:v] + (smaller,) + lam[v + 1 :], rest)
-            sub = memo.get(key) or _mn_value(memo, rows, coords, *key)
-            acc = [a + b for a, b in zip(acc, sub)] if sign > 0 else [a - b for a, b in zip(acc, sub)]
-        if any(acc):
-            total = [t + p for t, p in zip(total, _mul_num(coords[v][c], acc, rows))]
-    out = memo[lam, rho] = tuple(total)
+            terms.append((sign, coords[v][c], memo.get(key) or _mn_value(memo, order, coords, *key)))
+    out = memo[lam, rho] = tuple(sum_of_products(terms, order))
     return out
 
 

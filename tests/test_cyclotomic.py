@@ -12,6 +12,9 @@ from quasilang.cyclotomic import (
     cyclotomic_polynomial,
     cyclotomic_to_json,
     euler_phi,
+    from_coordinates,
+    integer_coordinates,
+    sum_of_products,
 )
 from quasilang.errors import ValidationError
 
@@ -121,6 +124,26 @@ def test_integrality_flag():
     assert CyclotomicNumber.root(8, 3).is_integral()
     assert not CyclotomicNumber.from_rational(Fraction(1, 2)).is_integral()
     assert (CyclotomicNumber.root(4, 1) + 3).is_integral()
+
+
+def test_integer_coordinates_lift_conjugate_and_sum():
+    values = [
+        CyclotomicNumber.root(4),
+        CyclotomicNumber.from_rational(Fraction(-1, 2)),
+        CyclotomicNumber.root(3, 2) * Fraction(2, 3),
+        CyclotomicNumber.from_rational(5, 2),
+    ]
+    for conjugate in (False, True):
+        n, nums, den = integer_coordinates(values, 2, conjugate)
+        assert (n, den) == (12, 6)
+        assert all(type(c) is int for num in nums for c in num)
+        for x, num in zip(values, nums):
+            assert from_coordinates(n, num, den) == (x.conjugate() if conjugate else x)
+    n, xs, den = integer_coordinates(values)
+    _, ys, _ = integer_coordinates(values, conjugate=True)
+    total = from_coordinates(n, sum_of_products(zip((1, 2, -3, 4), xs, ys), n), den * den)
+    assert total == sum((s * x * x.conjugate() for s, x in zip((1, 2, -3, 4), values)), CyclotomicNumber.zero())
+    assert integer_coordinates([]) == (1, [], 1) and sum_of_products([], 5) == [0, 0, 0, 0]
 
 
 def test_json_round_trip():
