@@ -10,6 +10,7 @@ denominators is ever attempted.
 from __future__ import annotations
 
 import itertools
+import struct
 from collections import Counter
 from fractions import Fraction
 from math import gcd, lcm, prod
@@ -376,9 +377,11 @@ class FactoredRational:
     def expand(self, bound) -> "SeriesTruncation":
         """The coefficients of the exponents <= bound.
 
-        An exponent is kept as its index in the box, with the strides and
-        the box test of `series_from_dfa`, and each power-basis coordinate
-        as one int list over the box.  With L the lcm of the denominators
+        An exponent e is kept as its index sum_v e_v * stride_v in the box,
+        the last coordinate varying fastest, and each power-basis coordinate
+        as one int list over the box.  Index i has e_v < bound_v exactly when
+        i mod stride_v (bound_v + 1) < stride_v bound_v, and then e + t_v has
+        index i + stride_v.  With L the lcm of the denominators
         of the factor coefficients, entry e holds L^|e| times the
         coefficient, so dividing by 1 - sum_v c_v t_v is the integer
         recursion U[e] += sum_v (L c_v) U[e - t_v] in index order.  Each
@@ -476,7 +479,11 @@ class SeriesTruncation:
     def __init__(self, order: int, bound: tuple[int, ...], coefficients: dict):
         self.order = order
         self.bound = tuple(bound)
-        # one max per coordinate; only a failure looks for the exponent to name
+        # one pass at C level per check; only a failure looks for the exponent to name
+        n = len(self.bound)
+        if not set(map(len, coefficients)) <= {n}:
+            e = next(e for e in coefficients if len(e) != n)
+            raise ValidationError(f"exponent {e} does not have {n} coordinates")
         for top, b in zip(map(max, zip(*coefficients)), self.bound):
             if top > b:
                 e = next(e for e in coefficients if any(x > y for x, y in zip(e, self.bound)))
@@ -537,22 +544,30 @@ class SeriesTruncation:
 
 
 def series_from_dfa(dfa: Dfa, norm: Norm, bound) -> SeriesTruncation:
-    """Count the accepted words of norm <= bound, one word length at a time.
+    """Count the accepted words of norm <= bound, one word length L at a time.
 
-    An exponent e is kept as its index in the box, sum_i e_i * stride_i with
-    the last coordinate varying fastest.  Each live state (one that reaches
-    an accepting state) holds a sparse {index: count} dict of the words of
-    the current length that reach it.  The transitions from p to q of norm
-    index i are merged into one edge with a multiplicity, and a step along i
-    from an exponent with e_i = bound_i leaves the box and is dropped.  A
-    negative coordinate gives the empty series.  The counts stay ints: the
-    series holds them as they are, in index order."""
+    Each symbol adds 1 to one coordinate, so a word of length L has |e| = L
+    and its last coordinate is implied.  The coordinates before it split
+    into leading ones and a trailing block, the longest run before the last
+    whose box has at most 64 exponents (possibly none).  Each live state
+    (one that reaches an accepting state) maps the box index of the leading
+    coordinates, its key, to one int packing a count per exponent of the
+    block, at its box index, in slots of whole 64-bit limbs that hold
+    |alphabet|^sum(bound).  The transitions
+    from p to q of norm index i are merged into one edge with a
+    multiplicity.  A step along a leading coordinate moves the key by its
+    stride unless the box test puts it at its bound; one along a block
+    coordinate is a mask and a shift; one along the last masks off the
+    slots whose last coordinate, L less the key's and the slot's sums, is at
+    its bound.  The accepted counts of each (L, key) are unpacked once into
+    the box, the last coordinate varying fastest.  A negative coordinate
+    gives the empty series.  The counts stay ints: the series holds them as
+    they are, in index order."""
     if isinstance(bound, int):
         bound = (bound,) * norm.size
     bound = tuple(bound)
     if len(bound) != norm.size:
         raise ValidationError("bound must have one coordinate per variable")
-    strides = _strides(bound)
     live = dfa.live_states()
     # edges[p][i] = {q: number of symbols of norm index i taking p to q}, q live
     indices = [norm.index(s) for s in dfa.alphabet]
@@ -561,32 +576,88 @@ def series_from_dfa(dfa: Dfa, norm: Norm, bound) -> SeriesTruncation:
         for i, q in zip(indices, row):
             if q in live:
                 edges[p].setdefault(i, Counter())[q] += 1
-    # steps[p] = [(stride, period, limit, ((q, multiplicity), ...)) per index i];
-    # e_i < bound_i exactly when e mod (stride_i (bound_i + 1)) < stride_i bound_i
-    boxes = [(s, s * (b + 1), s * b) for s, b in zip(strides, bound)]
-    steps = [[(*boxes[i], tuple(targets.items())) for i, targets in row.items()] for row in edges]
+    if min(bound, default=0) < 0 or dfa.start not in live:
+        return SeriesTruncation._trusted(1, bound, {})
+    if not bound:  # no symbols, so the live start accepts the empty word
+        return SeriesTruncation._trusted(1, bound, {(): 1})
+    *head, top = bound
+    j, slots = len(head), 1
+    while j and slots * (head[j - 1] + 1) <= 64:
+        j -= 1
+        slots *= head[j] + 1
+    lead, block = head[:j], head[j:]
+    cells = list(itertools.product(*(range(b + 1) for b in block)))
+    w = -(-max(1, (len(dfa.alphabet) ** sum(bound)).bit_length()) // 64) * 8  # bytes per slot
+
+    def packed(keep) -> int:
+        return int.from_bytes(b"".join(b"\xff" * w if keep(c) else bytes(w) for c in cells), "little")
+
+    # last[L - sum(key)]: the slots whose last coordinate L - sum(key) - sum(cell) is below top
+    last = [packed(lambda c: True)] * top + [packed(lambda c: sum(c) > d) for d in range(sum(block))]
+    last += [0] * (sum(bound) + 1 - len(last))
+    # steps[p] = [(kind, arguments, ((q, multiplicity), ...)) per index i]: kind
+    # 0 for a leading coordinate, at its bound when key mod (stride (bound + 1))
+    # >= stride bound; 1 for a block coordinate, with its mask and shift; 2 for the last
+    kinds = [(0, (s * (b + 1), s * b, s)) for s, b in zip(_strides(lead), lead)]
+    for t, (s, b) in enumerate(zip(_strides(block), block)):
+        kinds.append((1, (packed(lambda c: c[t] < b), 8 * w * s)))
+    kinds.append((2, None))
+    steps = [[(*kinds[i], tuple(targets.items())) for i, targets in row.items()] for row in edges]
+    sums = list(map(sum, itertools.product(*(range(b + 1) for b in lead))))
+    # the slot of cell c at length L and key k holds box index base[k] + L + offsets[c]
+    base = [k * slots * (top + 1) - s for k, s in enumerate(sums)]
+    offsets = [b * (top + 1) - sum(c) for b, c in enumerate(cells)]
+    parts = [slice(a, a + w) for a in range(0, slots * w, w)]
+    unpack = struct.Struct(f"<{slots}Q").unpack if w == 8 else (
+        lambda data: list(map(int.from_bytes, map(data.__getitem__, parts), itertools.repeat("little")))
+    )
     totals = [0] * prod(b + 1 for b in bound)
-    layer = {dfa.start: {0: 1}} if dfa.start in live and min(bound, default=0) >= 0 else {}
+    layer, length = {dfa.start: {0: 1}}, 0
     while layer:
         # empty steps are skipped, so no dict of the next layer is empty; a
         # target's first contribution is a copy, as the step may feed others
         nxt: dict[int, dict[int, int]] = {}
+        accepted = []
         for p, counts in layer.items():
             if p in dfa.accepting:
-                for e, c in counts.items():
-                    totals[e] += c
-            for stride, period, limit, targets in steps[p]:
-                stepped = {e + stride: c for e, c in counts.items() if e % period < limit}
+                accepted.append(counts)
+            for kind, arg, targets in steps[p]:
+                if kind == 0:
+                    period, limit, stride = arg
+                    stepped = {k + stride: x for k, x in counts.items() if k % period < limit}
+                elif kind == 1:
+                    mask, shift = arg
+                    stepped = {k: y for k, x in counts.items() if (y := (x & mask) << shift)}
+                elif length < top:  # every last coordinate is below top
+                    stepped = counts
+                else:
+                    stepped = {k: y for k, x in counts.items() if (y := x & last[length - sums[k]])}
                 if not stepped:
                     continue
                 for q, mult in targets:
                     target = nxt.get(q)
                     if target is None:
                         nxt[q] = dict(stepped) if mult == 1 else {f: c * mult for f, c in stepped.items()}
+                    elif mult == 1:
+                        for f, c in stepped.items():
+                            target[f] = target.get(f, 0) + c
                     else:
                         for f, c in stepped.items():
                             target[f] = target.get(f, 0) + c * mult
-        layer = nxt
+        if accepted:  # the layer's dicts are done with, so the first absorbs the others
+            acc = accepted[0]
+            for counts in accepted[1:]:
+                for k, x in counts.items():
+                    acc[k] = acc.get(k, 0) + x
+            if slots == 1:
+                for k, x in acc.items():
+                    totals[base[k] + length] = x
+            else:
+                for k, x in acc.items():
+                    i, cs = base[k] + length, unpack(x.to_bytes(slots * w, "little"))
+                    for c, o in itertools.compress(zip(cs, offsets), cs):
+                        totals[i + o] = c
+        layer, length = nxt, length + 1
     exponents = itertools.compress(itertools.product(*(range(b + 1) for b in bound)), totals)
     return SeriesTruncation._trusted(1, bound, dict(zip(exponents, filter(None, totals))))
 

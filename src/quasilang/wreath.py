@@ -138,7 +138,7 @@ def wreath_irreducible_character(table: CharacterTable, lam: WreathLabel) -> Cla
 def _mn_character(table: CharacterTable, lam: WreathLabel) -> ClassFunction:
     bins = tuple(sorted(sum(p) for p in lam if p))
     if not bins:  # degree zero: the empty character
-        return ClassFunction(table, 0, {(): CyclotomicNumber.one()})
+        return ClassFunction(table, 0, {((),) * table.n_classes: CyclotomicNumber.one()})
     order, coords, memo = _mn_state(table)
     values = {}
     for rho, _ in _classes(table, sum(bins)):

@@ -239,7 +239,7 @@ def induced_wreath_character(table: CharacterTable, lam: tuple) -> dict:
     n = label_size(lam)
     slots = [v for v in range(len(lam)) if lam[v]]
     if not slots:
-        return {(): CyclotomicNumber.one()} if n == 0 else {}
+        return {((),) * table.n_classes: CyclotomicNumber.one()} if n == 0 else {}
     blocks = [_block_character(table, v, lam[v]) for v in slots]
     sizes = [sum(lam[v]) for v in slots]
     sub_order = 1

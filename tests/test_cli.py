@@ -880,6 +880,19 @@ def test_wreath_labels_have_one_partition_per_irreducible():
     assert run(dict(stability, mu=[[], [1]]))["status"] == "ok"
 
 
+def test_degree_zero_wreath_labels_are_answered():
+    # the character of the empty label was keyed by () instead of by the
+    # class label ((), ..., ()), so both requests answered a KeyError
+    for group, slots in (({"construct": "cyclic", "n": 2}, 2), ({"construct": "symmetric", "n": 3}, 3)):
+        empty = [[]] * slots
+        value = {"label": empty, "size": 1, "value": [1, ["1"]]}
+        assert run({"cmd": "wreath.char", "group": group, "lambda": empty}) == {
+            "status": "ok", "result": {"dim": 1, "values": [value]}
+        }
+        stability = {"cmd": "wreath.stability", "group": group, "lambda": empty, "mu": empty, "nu": empty}
+        assert run(dict(stability, n_range=[0, 2])) == {"status": "ok", "result": [1, 1, 1]}
+
+
 def test_group_orders_are_budgeted_before_any_table_is_built():
     """S_(10^30) escaped as OverflowError, and S9 ran for minutes."""
     cyclic = {"construct": "cyclic", "n": 1000}

@@ -1,5 +1,7 @@
 import itertools
+import math
 import random
+import re
 from fractions import Fraction
 
 import pytest
@@ -124,6 +126,40 @@ def counting_cases(draw):
 def test_series_from_dfa_matches_the_exponent_table(case):
     dfa, norm, bound = case
     assert series_from_dfa(dfa, norm, bound).to_json() == series_by_exponent_table(dfa, norm, bound).to_json()
+
+
+def test_series_from_dfa_counts_past_64_bits():
+    # 5^60 and binom(60, 30) need slots of more than one 64-bit limb
+    five = tuple("abcde")
+    series = series_from_dfa(compile_ordered(Star(five), five), Norm.length(five), (60,))
+    assert list(series.coefficients.items()) == [((n,), 5**n) for n in range(61)]
+    assert series.coefficients[(60,)] > 2**139
+    series = series_from_dfa(compile_ordered(Star(AB), AB), Norm.universal(AB), (30, 30))
+    box = itertools.product(range(31), repeat=2)
+    assert list(series.coefficients.items()) == [((i, j), math.comb(i + j, i)) for i, j in box]
+
+
+def test_series_from_dfa_of_the_zero_variable_norm():
+    # over the empty alphabet the box is the one exponent (), the empty word's
+    for accepting, coefficients in (({0}, {(): 1}), (set(), {})):
+        dfa = Dfa((), [[]], 0, accepting)
+        for bound in ((), 5):
+            assert series_from_dfa(dfa, Norm({}, 0), bound).coefficients == coefficients
+
+
+def test_series_from_dfa_with_an_empty_block():
+    # a coordinate before the last with more than 64 values leaves no block,
+    # so every coordinate but the last is in the key
+    abc = ("a", "b", "c")
+    series = series_from_dfa(compile_ordered(Star(abc), abc), Norm.universal(abc), (2, 70, 2))
+    box = itertools.product(range(3), range(71), range(3))
+    assert list(series.coefficients.items()) == [
+        (e, math.factorial(sum(e)) // math.prod(map(math.factorial, e))) for e in box
+    ]
+    even_a = compile_congruence(even_a_spec())
+    for bound in ((70, 3), (3, 70), (64, 2), (63, 2)):
+        expected = series_by_exponent_table(even_a, Norm.universal(AB), bound)
+        assert series_from_dfa(even_a, Norm.universal(AB), bound).to_json() == expected.to_json()
 
 
 def test_series_from_dfa_of_a_negative_bound_is_empty():
@@ -323,6 +359,18 @@ def test_series_truncation_rejects_an_exponent_outside_the_bound():
         SeriesTruncation.from_json(blob)
     # the corner of the box is inside it
     assert SeriesTruncation(1, (3, 3), {(3, 3): 1, (0, 3): 2}).coefficient((3, 3)) == 1
+
+
+def test_series_truncation_rejects_an_exponent_of_the_wrong_length():
+    # zipped against the bound, (1,) and (0, 1, 5) passed the bound check
+    one = [1, ["1"]]
+    for e in ([1], [0, 1, 5]):
+        blob = {"order": 1, "bound": [2, 2], "coefficients": [[[0, 0], one], [e, one]]}
+        message = "^" + re.escape(f"exponent {tuple(e)} does not have 2 coordinates") + "$"
+        with pytest.raises(ValidationError, match=message):
+            SeriesTruncation.from_json(blob)
+        with pytest.raises(ValidationError, match=message):
+            SeriesTruncation(1, (2, 2), {tuple(e): 0})
 
 
 def test_series_from_dfa_stores_ints_and_reads_cyclotomics():
