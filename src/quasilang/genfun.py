@@ -13,7 +13,7 @@ import itertools
 import struct
 from collections import Counter
 from fractions import Fraction
-from math import gcd, lcm, prod
+from math import comb, gcd, lcm, prod
 from operator import add, le, mul
 
 from .cyclotomic import (
@@ -552,8 +552,8 @@ def series_from_dfa(dfa: Dfa, norm: Norm, bound) -> SeriesTruncation:
     whose box has at most 64 exponents (possibly none).  Each live state
     (one that reaches an accepting state) maps the box index of the leading
     coordinates, its key, to one int packing a count per exponent of the
-    block, at its box index, in slots of whole 64-bit limbs that hold
-    |alphabet|^sum(bound).  The transitions
+    block, at its box index, in slots of whole 64-bit limbs wide enough for
+    the number of words of the largest exponent in the box.  The transitions
     from p to q of norm index i are merged into one edge with a
     multiplicity.  A step along a leading coordinate moves the key by its
     stride unless the box test puts it at its bound; one along a block
@@ -587,7 +587,14 @@ def series_from_dfa(dfa: Dfa, norm: Norm, bound) -> SeriesTruncation:
         slots *= head[j] + 1
     lead, block = head[:j], head[j:]
     cells = list(itertools.product(*(range(b + 1) for b in block)))
-    w = -(-max(1, (len(dfa.alphabet) ** sum(bound)).bit_length()) // 64) * 8  # bytes per slot
+    # no count exceeds the words of exponent b, multinomial(sum(b); b) prod n_v^b_v,
+    # with b_v = bound_v where n_v > 0 symbols step along v and b_v = 0 elsewhere
+    most, total = 1, 0
+    for v, b in enumerate(bound):
+        if n := indices.count(v):
+            total += b
+            most *= comb(total, b) * n**b
+    w = -(-max(1, most.bit_length()) // 64) * 8  # bytes per slot
 
     def packed(keep) -> int:
         return int.from_bytes(b"".join(b"\xff" * w if keep(c) else bytes(w) for c in cells), "little")
@@ -628,22 +635,18 @@ def series_from_dfa(dfa: Dfa, norm: Norm, bound) -> SeriesTruncation:
                 elif kind == 1:
                     mask, shift = arg
                     stepped = {k: y for k, x in counts.items() if (y := (x & mask) << shift)}
-                elif length < top:  # every last coordinate is below top
-                    stepped = counts
                 else:
                     stepped = {k: y for k, x in counts.items() if (y := x & last[length - sums[k]])}
                 if not stepped:
                     continue
                 for q, mult in targets:
+                    scaled = stepped if mult == 1 else {f: c * mult for f, c in stepped.items()}
                     target = nxt.get(q)
                     if target is None:
-                        nxt[q] = dict(stepped) if mult == 1 else {f: c * mult for f, c in stepped.items()}
-                    elif mult == 1:
-                        for f, c in stepped.items():
-                            target[f] = target.get(f, 0) + c
+                        nxt[q] = dict(scaled)
                     else:
-                        for f, c in stepped.items():
-                            target[f] = target.get(f, 0) + c * mult
+                        for f, c in scaled.items():
+                            target[f] = target.get(f, 0) + c
         if accepted:  # the layer's dicts are done with, so the first absorbs the others
             acc = accepted[0]
             for counts in accepted[1:]:

@@ -129,14 +129,25 @@ def test_series_from_dfa_matches_the_exponent_table(case):
 
 
 def test_series_from_dfa_counts_past_64_bits():
-    # 5^60 and binom(60, 30) need slots of more than one 64-bit limb
+    # 5^60 fills one slot of three 64-bit limbs (the length norm has no block)
     five = tuple("abcde")
     series = series_from_dfa(compile_ordered(Star(five), five), Norm.length(five), (60,))
     assert list(series.coefficients.items()) == [((n,), 5**n) for n in range(61)]
     assert series.coefficients[(60,)] > 2**139
-    series = series_from_dfa(compile_ordered(Star(AB), AB), Norm.universal(AB), (30, 30))
-    box = itertools.product(range(31), repeat=2)
+    # at (40, 40) the block is coordinate 0, 41 slots of two limbs for binom(80, 40)
+    series = series_from_dfa(compile_ordered(Star(AB), AB), Norm.universal(AB), (40, 40))
+    box = itertools.product(range(41), repeat=2)
     assert list(series.coefficients.items()) == [((i, j), math.comb(i + j, i)) for i, j in box]
+    assert series.coefficients[(40, 40)] > 2**76
+    # a and b step along coordinate 0 and c along 2, none along 1: the largest
+    # count is binom(60, 20) 2^40 at (40, 0, 20), two limbs per slot of the
+    # block (coordinate 1), and every slot with e_1 > 0 stays empty
+    abc = ("a", "b", "c")
+    norm = Norm({"a": 0, "b": 0, "c": 2}, 3)
+    series = series_from_dfa(compile_ordered(Star(abc), abc), norm, (40, 3, 20))
+    box = itertools.product(range(41), range(1), range(21))
+    assert list(series.coefficients.items()) == [((i, j, k), math.comb(i + k, k) * 2**i) for i, j, k in box]
+    assert series.coefficients[(40, 0, 20)] > 2**91
 
 
 def test_series_from_dfa_of_the_zero_variable_norm():
@@ -149,7 +160,8 @@ def test_series_from_dfa_of_the_zero_variable_norm():
 
 def test_series_from_dfa_with_an_empty_block():
     # a coordinate before the last with more than 64 values leaves no block,
-    # so every coordinate but the last is in the key
+    # so every coordinate but the last is in the key: (2, 70, 2), (70, 3) and
+    # (64, 2); (3, 70) and (63, 2) keep coordinate 0 as a block of 4 and 64 slots
     abc = ("a", "b", "c")
     series = series_from_dfa(compile_ordered(Star(abc), abc), Norm.universal(abc), (2, 70, 2))
     box = itertools.product(range(3), range(71), range(3))
