@@ -9,7 +9,10 @@ Every field is read through an `errors.Payload`, so a missing field, a wrong
 type, a repeated key, an out-of-range entry or nesting past `MAX_DEPTH` is a
 `ValidationError` whose message starts with the JSON path of the value, e.g.
 "rational.factors[0][0][0] must lie in range(2), got 2"; a field of the
-request has its bare name as its path.
+request has its bare name as its path.  Only the readers check a request:
+a rule between two fields is refused at the later one, a library check (a
+group's axioms, an embedding) is named with the path of its field, and
+constructors trust the values they are given, read or built.
 """
 
 from __future__ import annotations
@@ -19,9 +22,10 @@ import functools
 import itertools
 import json
 import sys
+from math import lcm
 
 from . import grouptheory, segre, wordposet, wreath
-from .cyclotomic import cyclotomic_to_json
+from .cyclotomic import cyclotomic_to_json, euler_phi
 from .errors import Payload, QuasilangError, ValidationError
 from .genfun import (
     FactoredRational,
@@ -45,6 +49,7 @@ from .langkit import (
     quasi_from_json,
     quasi_to_json,
     symbol_to_json,
+    validate_expr,
 )
 from .wordposet import WeightedWord, principal_ideal_language
 
@@ -54,15 +59,19 @@ def _norm_from_json(p: Payload, alphabet) -> Norm:
         return Norm.universal(alphabet)
     if p.value == {"length": True}:
         return Norm.length(alphabet)
-    size = p["size"].int(0)
-    return Norm(p["pairs"].pairs(Payload.symbol, lambda i: i.int(0, size), "symbol"), size)
+    size, pairs = p["size"].int(0), p["pairs"]
+    mapping = pairs.pairs(Payload.symbol, lambda i: i.int(0, size), "symbol")
+    for s in alphabet:
+        if s not in mapping:
+            raise pairs.error(f"symbol {symbol_to_json(s)!r} has no index")
+    return Norm(mapping, size)
 
 
 def _budget(req: Payload) -> int:
     """The budget (also the --budget flag) of the simplices of a Segre
     product, the ranks of a `segre.homology` answer, the exponents of a
-    series box, the elements of a group and the words the `lang.enum` search
-    visits."""
+    series box, the elements of a group, the words the `lang.enum` search
+    visits and the row entries of a cyclotomic field."""
     return req.get("budget", segre.DEFAULT_SIMPLEX_BUDGET).int(0)
 
 
@@ -87,6 +96,23 @@ def _fit_box(req: Payload, p: Payload, d: int, size: int) -> None:
         _fit(req, p, "a series box of {} exponents", (d + 1 for _ in range(size)))
     else:
         _fit(req, p, "a series exponent of {} coordinates", (size,))
+
+
+def _fit_field(req: Payload, p: Payload, order: int) -> None:
+    """Refuse at `p` a cyclotomic field of `order` whose table
+    (`cyclotomic._field`), about order * phi(order) row entries, exceeds the
+    budget.  phi(order) >= 1 is not computed for an order past the budget."""
+    if order > _budget(req):
+        raise p.error(f"a cyclotomic field of order {order} exceeds the budget {_budget(req)}")
+    _fit(req, p, f"a cyclotomic field of order {order} and {{}} row entries", (order, euler_phi(order)))
+
+
+def _rational(req: Payload) -> FactoredRational:
+    """The `rational`, its field checked against the budget before it is
+    decoded."""
+    order = req["rational"]["order"]
+    _fit_field(req, order, order.int(1))
+    return FactoredRational.from_json(req["rational"])
 
 
 def _degree(req: Payload, size: int) -> tuple[int, ...]:
@@ -129,7 +155,7 @@ def _group_reader(p: Payload, factors: list):
     if type(name.value) is not str:
         raise name.expected("a string")
     factors.append((n,))
-    return lambda: grouptheory.FiniteGroup.from_json({"table": table, "name": name.value})
+    return lambda: p["table"].check(grouptheory.FiniteGroup.from_json, {"table": table, "name": name.value})
 
 
 def _group_from_json(p: Payload, req: Payload) -> grouptheory.FiniteGroup:
@@ -139,6 +165,13 @@ def _group_from_json(p: Payload, req: Payload) -> grouptheory.FiniteGroup:
     build = _group_reader(p, factors)
     _fit(req, p, "a group of {} elements", itertools.chain.from_iterable(factors))
     return build()
+
+
+def _embedding(p: Payload, G: grouptheory.FiniteGroup, H: grouptheory.FiniteGroup) -> tuple:
+    """The embedding at `p`: an injective homomorphism from H into G."""
+    emb = p.ints(0, G.order)
+    p.check(grouptheory.validate_embedding, G, H, emb)
+    return emb
 
 
 def _table_to_json(t: grouptheory.CharacterTable) -> dict:
@@ -156,17 +189,25 @@ def _table_to_json(t: grouptheory.CharacterTable) -> dict:
 # handlers: each reads its request through the Payload `req`
 
 
+def _alphabet(req: Payload) -> tuple:
+    """The `alphabet`, whose symbols are distinct."""
+    return req["alphabet"].distinct(req["alphabet"].symbols(), "symbol")
+
+
 def _cmd_lang_compile(req):
     if "congruence" in req.value:
         return dfa_to_json(compile_congruence(congruence_from_json(req["congruence"])))
-    alphabet = req["alphabet"].symbols()
-    dfa = compile_ordered(expr_from_json(req["expr"]), alphabet)
-    return dfa_to_json(dfa)
+    alphabet = _alphabet(req)
+    # compile_ordered refuses an expression over other symbols
+    return dfa_to_json(req["expr"].check(compile_ordered, expr_from_json(req["expr"]), alphabet))
 
 
 def _cmd_lang_member(req):
     dfa = dfa_from_json(req["dfa"])
     word = req["word"].symbols()
+    if not set(word) <= set(dfa.alphabet):
+        i = next(i for i, s in enumerate(word) if s not in dfa.alphabet)
+        raise req["word"].list()[i].expected("a symbol of dfa.alphabet")
     return membership(dfa, word)
 
 
@@ -174,13 +215,13 @@ def _cmd_lang_enum(req):
     dfa = dfa_from_json(req["dfa"])
     norm = _norm_from_json(req.get("norm"), dfa.alphabet)
     bound = req["bound"]
-    bound = bound.ints(0) if type(bound.value) is list else bound.int(0)
+    bound = bound.ints(0, length=norm.size) if type(bound.value) is list else bound.int(0)
     words = enumerate_by_norm(dfa, norm, bound, _budget(req))
     return [[symbol_to_json(s) for s in w] for w in words]
 
 
 def _cmd_lang_intersect(req):
-    return dfa_to_json(intersect_dfa(dfa_from_json(req["a"]), dfa_from_json(req["b"])))
+    return dfa_to_json(req["b"].check(intersect_dfa, dfa_from_json(req["a"]), dfa_from_json(req["b"])))
 
 
 def _cmd_genfun_series(req):
@@ -193,40 +234,40 @@ def _cmd_genfun_closed(req):
     if "quasi" in req.value:
         F = quasi_ordered_genfun(quasi_from_json(req["quasi"]))
     else:
-        alphabet = req["alphabet"].symbols()
-        norm = _norm_from_json(req.get("norm"), alphabet)
-        F = ordered_genfun(expr_from_json(req["expr"]), alphabet, norm)
+        alphabet, expr = _alphabet(req), expr_from_json(req["expr"])
+        req["expr"].check(validate_expr, expr, alphabet)
+        norm = req.get("norm")
+        F = norm.check(ordered_genfun, expr, alphabet, _norm_from_json(norm, alphabet))
     return F.to_json()
 
 
 def _cmd_genfun_translate(req):
-    F = FactoredRational.from_json(req["rational"])
+    F = _rational(req)
     root_order = req.get("root_order")
-    root_order = None if root_order.value is None else root_order.int(1)
-    out = F.translate(req["exponents"].ints(), root_order)
+    if root_order.value is not None:
+        _fit_field(req, root_order, lcm(F.order, root_order.int(1)))
+    out = F.translate(req["exponents"].ints(length=F.nvars), root_order.value)
     return out.to_json()
 
 
 def _cmd_genfun_filter(req):
-    F = FactoredRational.from_json(req["rational"])
+    F = _rational(req)
     group = AbelianGroup(req["orders"].ints(1))
-    psi = req["psi"].rows(group.orders)
-    target = req["target"].rows(group.orders)
-    for i, t in enumerate(target):
-        if t in target[:i]:
-            raise req["target"].list()[i].error(f"element {list(t)} is repeated")
+    _fit_field(req, req["orders"], lcm(F.order, group.exponent))
+    psi = req["psi"].rows(group.orders, F.nvars)
+    target = req["target"].distinct(req["target"].rows(group.orders), "element")
     return congruence_filter(F, psi, group, target).to_json()
 
 
 def _cmd_genfun_expand(req):
-    F = FactoredRational.from_json(req["rational"])
+    F = _rational(req)
     return F.expand(_degree(req, F.nvars)).to_json()
 
 
 def _cmd_poset_leq(req):
     x = WeightedWord.from_json(req["x"])
     y = WeightedWord.from_json(req["y"])
-    witness = wordposet.leq(x, y)
+    witness = req["y"]["orders"].check(wordposet.leq, x, y)
     return None if witness is None else witness.to_json()
 
 
@@ -238,8 +279,10 @@ def _cmd_poset_minimal(req):
 
 def _cmd_poset_ideal(req):
     x = WeightedWord.from_json(req["x"])
-    letters = req["letters"].strings() if "letters" in req.value else None
-    q = principal_ideal_language(x, letters=letters, reduced_stars=req.get("reduced_stars", False).bool())
+    letters = req.get("letters")
+    if "letters" in req.value:
+        letters.distinct(letters.strings(), "letter")
+    q = letters.check(principal_ideal_language, x, letters.value, req.get("reduced_stars", False).bool())
     return quasi_to_json(q)
 
 
@@ -262,7 +305,7 @@ def _cmd_group_table(req):
 def _cmd_group_restrict(req):
     G = _group_from_json(req["group"], req)
     H = _group_from_json(req["subgroup"], req)
-    return grouptheory.restriction_matrix(G, H, req["embedding"].ints(0, G.order))
+    return grouptheory.restriction_matrix(G, H, _embedding(req["embedding"], G, H))
 
 
 def _cmd_group_good(req):
@@ -273,10 +316,10 @@ def _cmd_group_good(req):
             raise young.error(f"Young subgroups need a symmetric group, got {G.name}")
         fam = [(H, emb) for _, H, emb in grouptheory.young_subgroups(G.kind[1], G)]
     else:
-        fam = [
-            (_group_from_json(s["group"], req), s["embedding"].ints(0, G.order))
-            for s in req["subgroups"].list()
-        ]
+        fam = []
+        for s in req["subgroups"].list():
+            H = _group_from_json(s["group"], req)
+            fam.append((H, _embedding(s["embedding"], G, H)))
     return grouptheory.is_good_family(G, fam, covering_only=req.get("covering", False).bool())
 
 
@@ -324,7 +367,7 @@ def _cmd_wreath_stability(req):
 
 def _cmd_wreath_hilbert(req):
     table = _wreath_table(req)
-    index = req["index"].int(0)
+    index = req["index"].int(0, len(table.rows))
     # F has one variable per irreducible; an oversized box is refused before F,
     # which is itself slow to build for large groups, is built
     bound = _degree(req, len(table.rows)) if "degree" in req.value else None
@@ -362,7 +405,7 @@ def _cmd_segre_series(req):
         return v
 
     maps = [perm.pairs(vertex, vertex, "vertex") for perm in req["action"].list()]
-    action = segre.GroupAction(table, x, maps)
+    action = req["action"].check(segre.GroupAction, table, x, maps)
     nmax = req.get("nmax", 2).int(1)
     data = segre.equivariant_hilbert_data(action, req["i"].int(0), nmax, _budget(req))
     return [
@@ -432,7 +475,7 @@ def main(argv=None) -> int:
     parser.add_argument("--out", dest="outfile", help="output file (default stdout)")
     parser.add_argument("--degree", type=int, help="cap series degree")
     parser.add_argument("--nmax", type=int, help="cap iterated powers")
-    parser.add_argument("--budget", type=int, help="cap simplex counts, series box sizes, group orders and enumerated words")
+    parser.add_argument("--budget", type=int, help="cap simplex counts, series box sizes, group orders, enumerated words and cyclotomic field tables")
     args = parser.parse_args(argv)
     if args.infile:
         with open(args.infile, "r", encoding="utf-8") as fh:

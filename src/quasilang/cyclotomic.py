@@ -156,8 +156,6 @@ class CyclotomicNumber:
     __slots__ = ("order", "_num", "_den", "_coeffs")
 
     def __init__(self, order: int, coeffs) -> None:
-        if order < 1:
-            raise ValidationError(f"cyclotomic order must be >= 1, got {order}")
         coeffs = tuple(Fraction(c) for c in coeffs)
         if len(coeffs) != euler_phi(order):
             raise ValidationError(
@@ -403,4 +401,4 @@ def cyclotomic_to_json(c: CyclotomicNumber | int) -> list:
 def cyclotomic_from_json(data) -> CyclotomicNumber:
     """[N, coordinates], each coordinate an int or a "p/q" string."""
     order, coeffs = Payload.of(data, "cyclotomic").list(2)
-    return CyclotomicNumber(order.int(1), coeffs.rationals())
+    return coeffs.check(CyclotomicNumber, order.int(1), coeffs.rationals())

@@ -1,5 +1,11 @@
 """Exception types shared across the package, and the payload reader that
-raises them on outside input."""
+raises them on outside input.
+
+Outside input is checked once, by its reader, and refused at its JSON path.
+A rule between two fields is refused at the later one.  A rule that library
+callers need too lives in one library helper, which the reader calls through
+`Payload.check` to put its path in front.  Constructors trust what they are
+given: values a reader has read, or values the code has built."""
 
 from __future__ import annotations
 
@@ -98,17 +104,37 @@ class Payload:
             raise self.expected("a JSON object", True)
         return Payload(self.value.get(field, default), field, self)
 
+    def check(self, build, *args):
+        """build(*args), a library helper that checks a rule, with this
+        reader's path in front of the ValidationError it raises."""
+        try:
+            return build(*args)
+        except ValidationError as exc:
+            raise self.error(str(exc)) from None
+
     def __len__(self) -> int:
         if type(self.value) is not list:
             raise self.expected("a list", True)
         return len(self.value)
 
-    def list(self, length: int | None = None) -> list:
-        """The readers of the entries, of which there must be `length` if given."""
+    def _length(self, length: int | None) -> int:
+        """The length of this list, which must be `length` if given."""
         n = len(self)
         if length is not None and n != length:
             raise ValidationError(f"{self.path} must have {length} entries, got {n}")
+        return n
+
+    def list(self, length: int | None = None) -> list:
+        """The readers of the entries, of which there must be `length` if given."""
+        self._length(length)
         return [Payload(x, i, self) for i, x in enumerate(self.value)]
+
+    def distinct(self, values: tuple, noun: str) -> tuple:
+        """`values`, read from this list, refused at the second entry of a repeat."""
+        if len(set(values)) < len(values):
+            i = next(i for i, v in enumerate(values) if v in values[:i])
+            raise Payload(self.value[i], i, self).error(f"{noun} {self.value[i]!r} is repeated")
+        return values
 
     def pairs(self, read_key, read_value, noun: str) -> dict:
         """{read_key(k): read_value(v)} from a list of [k, v] pairs; a key
@@ -131,10 +157,11 @@ class Payload:
             raise _must(self.path, f"be at least {least}" if below is None else f"lie in {span}", v)
         return v
 
-    def ints(self, least: int | None = None, below: int | None = None) -> tuple:
-        """A list of `int(least, below)` values as a tuple, checked in bulk."""
+    def ints(self, least: int | None = None, below: int | None = None, length: int | None = None) -> tuple:
+        """A list of `int(least, below)` values as a tuple, checked in bulk,
+        of which there must be `length` if given."""
         values = self.value
-        if len(self) and (set(map(type, values)) - _INTS or (least is not None and min(values) < least)
+        if self._length(length) and (set(map(type, values)) - _INTS or (least is not None and min(values) < least)
                           or (below is not None and max(values) >= below)):
             for i, v in enumerate(values):
                 Payload(v, i, self).int(least, below)
@@ -145,9 +172,10 @@ class Payload:
         of Z/n_1 x ... x Z/n_r."""
         return tuple(e.int(0, n) for e, n in zip(self.list(len(bounds)), bounds))
 
-    def rows(self, bounds: tuple) -> tuple:
+    def rows(self, bounds: tuple, length: int | None = None) -> tuple:
         """A list of `row(bounds)` values as a tuple, read with no reader per
-        row unless one is refused."""
+        row unless one is refused, of which there must be `length` if given."""
+        self._length(length)
         out = []
         for row in self.value if type(self.value) is list else ():
             if type(row) is not list or len(row) != len(bounds):

@@ -14,7 +14,7 @@ import struct
 from collections import Counter
 from fractions import Fraction
 from math import comb, gcd, lcm, prod
-from operator import add, le, mul
+from operator import add, gt, le, mul
 
 from .cyclotomic import (
     CyclotomicNumber,
@@ -199,10 +199,6 @@ class FactoredRational:
 
     def __init__(self, nvars: int, order: int, num: list[dict], den: int = 1, factors=()):
         num = _nonzero(num)
-        for col in num:
-            for e in col:
-                if len(e) != nvars:
-                    raise ValidationError(f"exponent {e} does not have {nvars} coordinates")
         if den != 1:
             g = gcd(den, *itertools.chain.from_iterable(col.values() for col in num))
             if g != 1:
@@ -458,7 +454,7 @@ class FactoredRational:
     def from_json(cls, data) -> "FactoredRational":
         p = Payload.of(data, "rational")
         nvars = p["nvars"].int(0)
-        numerator = p["numerator"].pairs(lambda e: e.ints(0), cyclotomic_from_json, "exponent")
+        numerator = p["numerator"].pairs(lambda e: e.ints(0, length=nvars), cyclotomic_from_json, "exponent")
         factors = [
             LinearForm(terms.pairs(lambda v: v.int(0, nvars), cyclotomic_from_json, "variable"))
             for terms in p["factors"].list()
@@ -472,37 +468,15 @@ class FactoredRational:
 
 class SeriesTruncation:
     """Exact truncated power series: coefficients for exponents <= bound, each
-    an `int` (the order-1 number it stands for) or a `CyclotomicNumber`."""
+    a nonzero `int` (the order-1 number it stands for) or `CyclotomicNumber`.
+
+    `SeriesTruncation(...)` keeps what it is given: `from_json` reads the
+    exponents in the box, and `expand` and the DFA word counter build them so."""
 
     __slots__ = ("order", "bound", "coefficients")
 
     def __init__(self, order: int, bound: tuple[int, ...], coefficients: dict):
-        self.order = order
-        self.bound = tuple(bound)
-        # one pass at C level per check; only a failure looks for the exponent to name
-        n = len(self.bound)
-        if not set(map(len, coefficients)) <= {n}:
-            e = next(e for e in coefficients if len(e) != n)
-            raise ValidationError(f"exponent {e} does not have {n} coordinates")
-        for top, b in zip(map(max, zip(*coefficients)), self.bound):
-            if top > b:
-                e = next(e for e in coefficients if any(x > y for x, y in zip(e, self.bound)))
-                raise ValidationError(f"exponent {e} exceeds the bound {self.bound}")
-        self.coefficients = {}
-        for e, c in coefficients.items():
-            if type(c) is not int and not isinstance(c, CyclotomicNumber):
-                c = CyclotomicNumber.from_rational(c)
-            if c:
-                self.coefficients[e] = c
-
-    @classmethod
-    def _trusted(cls, order: int, bound: tuple[int, ...], coefficients: dict) -> "SeriesTruncation":
-        """A series whose exponents lie in the box and whose coefficients are
-        nonzero ints or `CyclotomicNumber`s by construction, as the DFA word
-        counter builds it: the checks of `__init__` are skipped."""
-        series = cls.__new__(cls)
-        series.order, series.bound, series.coefficients = order, bound, coefficients
-        return series
+        self.order, self.bound, self.coefficients = order, tuple(bound), coefficients
 
     def coefficient(self, exponent) -> CyclotomicNumber:
         c = self.coefficients.get(tuple(exponent))
@@ -534,9 +508,19 @@ class SeriesTruncation:
 
     @classmethod
     def from_json(cls, data) -> "SeriesTruncation":
+        """A series whose exponents have one coordinate per bound coordinate
+        and lie within the bound; zero coefficients are dropped."""
         p = Payload.of(data, "series")
-        coeffs = p["coefficients"].pairs(lambda e: e.ints(0), cyclotomic_from_json, "exponent")
-        return cls(p["order"].int(1), p["bound"].ints(0), coeffs)
+        order, bound = p["order"].int(1), p["bound"].ints(0)
+
+        def exponent(e: Payload) -> tuple:
+            x = e.ints(0, length=len(bound))
+            if any(map(gt, x, bound)):
+                raise e.expected(f"an exponent within the bound {list(bound)}")
+            return x
+
+        coeffs = p["coefficients"].pairs(exponent, cyclotomic_from_json, "exponent")
+        return cls(order, bound, {e: c for e, c in coeffs.items() if c})
 
 
 # ---------------------------------------------------------------------------
@@ -577,9 +561,9 @@ def series_from_dfa(dfa: Dfa, norm: Norm, bound) -> SeriesTruncation:
             if q in live:
                 edges[p].setdefault(i, Counter())[q] += 1
     if min(bound, default=0) < 0 or dfa.start not in live:
-        return SeriesTruncation._trusted(1, bound, {})
+        return SeriesTruncation(1, bound, {})
     if not bound:  # no symbols, so the live start accepts the empty word
-        return SeriesTruncation._trusted(1, bound, {(): 1})
+        return SeriesTruncation(1, bound, {(): 1})
     *head, top = bound
     j, slots = len(head), 1
     while j and slots * (head[j - 1] + 1) <= 64:
@@ -662,7 +646,7 @@ def series_from_dfa(dfa: Dfa, norm: Norm, bound) -> SeriesTruncation:
                         totals[i + o] = c
         layer, length = nxt, length + 1
     exponents = itertools.compress(itertools.product(*(range(b + 1) for b in bound)), totals)
-    return SeriesTruncation._trusted(1, bound, dict(zip(exponents, filter(None, totals))))
+    return SeriesTruncation(1, bound, dict(zip(exponents, filter(None, totals))))
 
 
 # ---------------------------------------------------------------------------
@@ -790,20 +774,12 @@ def ordered_genfun(expr, alphabet, norm: Norm | None = None) -> FactoredRational
 def congruence_filter(F: FactoredRational, psi, group: AbelianGroup, target) -> FactoredRational:
     """Keep exactly the coefficients a_n with psi(n) in the target subset.
 
-    psi is given on basis vectors (one group element per variable).  The
+    psi is given on basis vectors: one group element per variable, and the
+    target lists distinct group elements, as the readers check.  The
     result is the character-sum combination of cyclotomic translates of F:
     sum over characters chi of c_chi * F(chi(psi(e_1)) t_1, ...), with
     c_chi = (1/#Lambda) * sum_{s in target} chi(s)^(-1).
     """
-    psi = list(psi)
-    if len(psi) != F.nvars:
-        raise ValidationError("psi must assign a group element to every variable")
-    target = list(target)
-    for g in psi + target:
-        if not group.contains(g):
-            raise ValidationError(f"{g!r} is not an element of the group")
-    if len(set(target)) != len(target):
-        raise ValidationError("target elements must be distinct")
     n_mod = group.exponent
     size = group.size
     result = FactoredRational.zero(F.nvars)

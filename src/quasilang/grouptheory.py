@@ -109,9 +109,10 @@ def mn_character(lam: tuple[int, ...], mu: tuple[int, ...]) -> int:
 class FiniteGroup:
     """A finite group as labels plus a multiplication table on indices.
 
-    Entries, identity, inverses, and associativity are verified on
-    construction.  `kind` records how the group was built, which selects the
-    character table construction.
+    The table must be square with entries in range(n), as the reader reads
+    it and the constructors build it; the identity, the inverses and
+    associativity are verified on construction.  `kind` records how the
+    group was built, which selects the character table construction.
     """
 
     def __init__(self, table, labels=None, name: str = "G", kind=("custom",)):
@@ -122,11 +123,6 @@ class FiniteGroup:
         self.kind = kind
         # filled in by character_table(self)
         self._character_table: CharacterTable | None = None
-        if len(self.labels) != n or any(len(row) != n for row in self.table):
-            raise ValidationError("multiplication table must be square")
-        entries = list(itertools.chain.from_iterable(self.table))
-        if set(map(type, entries)) - {int} or not set(entries) <= set(range(n)):
-            raise ValidationError(f"multiplication table entries must be integers in range({n})")
         identity = None
         for e in range(n):
             if all(self.table[e][g] == g == self.table[g][e] for g in range(n)):
@@ -317,7 +313,8 @@ def abelian_characters(group: FiniteGroup):
 class CharacterTable:
     """Irreducible characters over Q(zeta_N), rows by irreducible, columns by
     conjugacy class; `element_class` binds table columns to group elements
-    when an explicit group is attached."""
+    when an explicit group is attached.  The table is square and its
+    identity class has size 1, as the table constructions build it."""
 
     def __init__(
         self,
@@ -344,13 +341,6 @@ class CharacterTable:
         # its classes and characters here): valid as long as the table is,
         # since tables are not mutated, and gone with it
         self.memo: dict = {}
-        if len(self.rows) != len(self.class_sizes):
-            raise ValidationError("need as many irreducibles as conjugacy classes")
-        for row in self.rows:
-            if len(row) != len(self.class_sizes):
-                raise ValidationError("character row length does not match class count")
-        if self.class_sizes[identity_class] != 1:
-            raise ValidationError("identity class must have size 1")
 
     @property
     def n_classes(self) -> int:

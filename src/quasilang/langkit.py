@@ -24,15 +24,7 @@ def _add_mod(x: int, y: int, n: int) -> int:
 class AbelianGroup:
     """Z/n_1 x ... x Z/n_r; elements are tuples of residues."""
 
-    orders: tuple[int, ...]
-
-    def __post_init__(self):
-        if min(self.orders, default=1) < 1:
-            raise ValidationError(f"cyclic orders must be positive: {self.orders}")
-
-    @property
-    def rank(self) -> int:
-        return len(self.orders)
+    orders: tuple[int, ...]  # each at least 1
 
     @property
     def size(self) -> int:
@@ -47,13 +39,6 @@ class AbelianGroup:
 
     def elements(self) -> list[tuple[int, ...]]:
         return list(itertools.product(*(range(n) for n in self.orders)))
-
-    def contains(self, g) -> bool:
-        return (
-            isinstance(g, tuple)
-            and len(g) == len(self.orders)
-            and all(0 <= x < n for x, n in zip(g, self.orders))
-        )
 
     def add(self, a, b) -> tuple[int, ...]:
         # mapped rather than a generator: the witness search adds at every step
@@ -87,12 +72,8 @@ class AbelianGroup:
 class Norm:
     """A monoid map Sigma* -> N^I induced by a function symbol -> index."""
 
-    def __init__(self, mapping: dict, size: int | None = None):
-        self.mapping = dict(mapping)
-        self.size = size if size is not None else (max(self.mapping.values()) + 1 if self.mapping else 0)
-        for v in self.mapping.values():
-            if not (0 <= v < self.size):
-                raise ValidationError(f"norm index {v} out of range 0..{self.size - 1}")
+    def __init__(self, mapping: dict, size: int):
+        self.mapping, self.size = dict(mapping), size
 
     @classmethod
     def universal(cls, symbols) -> "Norm":
@@ -113,12 +94,6 @@ class Norm:
             return self.mapping[symbol]
         except KeyError:
             raise ValidationError(f"symbol {symbol!r} has no norm index") from None
-
-    def vector(self, word) -> tuple[int, ...]:
-        v = [0] * self.size
-        for s in word:
-            v[self.index(s)] += 1
-        return tuple(v)
 
 
 # ---------------------------------------------------------------------------
@@ -200,31 +175,13 @@ class Dfa:
     are canonically numbered by BFS from the start state (symbols in alphabet
     order), so equal languages compiled the same way serialize identically.
 
-    `Dfa(...)` checks that the alphabet is distinct, the table total and in
-    range, and the start and accepting states in range.  The automata the
-    compiler builds (`_determinize`, `_product`, `_canonicalize`) meet these
-    by construction and go through `Dfa._trusted`, which skips the scans;
-    `compile_ordered` checks its alphabet once, on entry."""
+    The alphabet must be distinct, the table total and in range, and the
+    start and accepting states in range.  `Dfa(...)` does not scan for this:
+    `dfa_from_json` reads it so, and the compiler (`_determinize`,
+    `_product`, `_canonicalize`) builds it so, over the alphabet that
+    `compile_ordered` checks on entry."""
 
     def __init__(self, alphabet, delta, start: int, accepting):
-        self._fill(alphabet, delta, start, accepting)
-        if len(self._sym_index) != len(self.alphabet):
-            raise ValidationError("alphabet symbols must be distinct")
-        n, targets = len(self.delta), set(itertools.chain.from_iterable(self.delta))
-        if set(map(len, self.delta)) - {len(self.alphabet)} or not targets <= set(range(n)):
-            raise ValidationError("transition table is not total over the state set")
-        if not (0 <= start < n) or any(a not in range(n) for a in self.accepting):
-            raise ValidationError("start/accepting states out of range")
-
-    @classmethod
-    def _trusted(cls, alphabet, delta, start: int, accepting) -> "Dfa":
-        """A DFA whose table is total and in range by construction, over a
-        distinct alphabet: the checks of `__init__` are skipped."""
-        dfa = cls.__new__(cls)
-        dfa._fill(alphabet, delta, start, accepting)
-        return dfa
-
-    def _fill(self, alphabet, delta, start, accepting) -> None:
         self.alphabet = tuple(alphabet)
         self.delta = tuple(map(tuple, delta))
         self.start = start
@@ -288,7 +245,7 @@ def _canonicalize(alphabet, delta, start, accepting) -> Dfa:
                 queue.append(t)
     new_delta = [tuple(map(order.__getitem__, delta[q])) for q in queue]
     new_acc = {order[q] for q in accepting if q in order}
-    return Dfa._trusted(alphabet, new_delta, 0, new_acc)
+    return Dfa(alphabet, new_delta, 0, new_acc)
 
 
 def _minimize(dfa: Dfa) -> Dfa:
@@ -326,7 +283,7 @@ def compile_ordered(expr, alphabet) -> Dfa:
     DFA is unique up to renumbering and `_canonicalize` fixes the numbering,
     so the result depends only on the language, not on how the union is
     split.  The alphabet is checked to be distinct here, once: the automata
-    of the fold are built on trusted tables (`Dfa._trusted`)."""
+    of the fold are built over it unchecked."""
     symbols = tuple(alphabet)
     validate_expr(expr, symbols)
     if len(set(symbols)) != len(symbols):
@@ -410,12 +367,13 @@ def _determinize(expr, symbols) -> Dfa:
             row.append(index[nxt])
         delta.append(row)
     accepting = {i for sub, i in index.items() if sub & last}
-    return Dfa._trusted(symbols, delta, 0, accepting)
+    return Dfa(symbols, delta, 0, accepting)
 
 
 @dataclass(frozen=True)
 class CongruenceSpec:
-    """phi: Sigma -> Lambda together with a target subset S of Lambda."""
+    """phi: Sigma -> Lambda, total on the distinct alphabet, together with a
+    target subset S of Lambda."""
 
     group: AbelianGroup
     phi: dict
@@ -427,14 +385,6 @@ class CongruenceSpec:
         object.__setattr__(self, "phi", dict(phi))
         object.__setattr__(self, "target", frozenset(target))
         object.__setattr__(self, "alphabet", tuple(alphabet))
-        for s in self.alphabet:
-            if s not in self.phi:
-                raise ValidationError(f"phi is not total: missing {s!r}")
-            if not group.contains(self.phi[s]):
-                raise ValidationError(f"phi({s!r}) = {self.phi[s]!r} is not a group element")
-        for t in self.target:
-            if not group.contains(t):
-                raise ValidationError(f"target element {t!r} is not in the group")
 
     def value(self, word):
         return self.group.sum(self.phi[s] for s in word)
@@ -446,9 +396,6 @@ class QuasiOrderedExpr:
 
     ordered: object
     cong: CongruenceSpec
-
-    def __post_init__(self):
-        validate_expr(self.ordered, self.cong.alphabet)
 
 
 def compile_congruence(spec: CongruenceSpec) -> Dfa:
@@ -486,7 +433,7 @@ def _product(a: Dfa, b: Dfa, accept) -> Dfa:
             row.append(index[t])
         delta.append(row)
     accepting = {i for (p, q), i in index.items() if accept(p in a.accepting, q in b.accepting)}
-    return Dfa._trusted(a.alphabet, delta, 0, accepting)
+    return Dfa(a.alphabet, delta, 0, accepting)
 
 
 def membership(dfa: Dfa, word) -> bool:
@@ -612,7 +559,7 @@ def dfa_to_json(dfa: Dfa) -> dict:
 
 def dfa_from_json(data) -> Dfa:
     p = Payload.of(data, "dfa")
-    alphabet, delta = p["alphabet"].symbols(), p["delta"]
+    alphabet, delta = p["alphabet"].distinct(p["alphabet"].symbols(), "symbol"), p["delta"]
     n = len(delta)
     return Dfa(alphabet, delta.rows((n,) * len(alphabet)), p["start"].int(0, n), p["accepting"].ints(0, n))
 
@@ -627,11 +574,16 @@ def congruence_to_json(spec: CongruenceSpec) -> dict:
 
 
 def congruence_from_json(data) -> CongruenceSpec:
+    """A congruence whose alphabet is distinct and whose phi maps each of its
+    symbols into the group."""
     p = Payload.of(data, "congruence")
     group = AbelianGroup(p["orders"].ints(1))
+    alphabet = p["alphabet"].distinct(p["alphabet"].symbols(), "symbol")
     phi = p["phi"].pairs(Payload.symbol, lambda v: v.row(group.orders), "symbol")
-    target = p["target"].rows(group.orders)
-    return CongruenceSpec(group, phi, target, p["alphabet"].symbols())
+    for s in alphabet:
+        if s not in phi:
+            raise p["phi"].error(f"symbol {symbol_to_json(s)!r} has no image")
+    return CongruenceSpec(group, phi, p["target"].rows(group.orders), alphabet)
 
 
 def quasi_to_json(q: QuasiOrderedExpr) -> dict:
@@ -639,5 +591,9 @@ def quasi_to_json(q: QuasiOrderedExpr) -> dict:
 
 
 def quasi_from_json(data) -> QuasiOrderedExpr:
+    """An ordered expression over the alphabet of the congruence."""
     p = Payload.of(data, "quasi")
-    return QuasiOrderedExpr(expr_from_json(p["ordered"]), congruence_from_json(p["congruence"]))
+    cong = congruence_from_json(p["congruence"])
+    ordered = expr_from_json(p["ordered"])
+    p["ordered"].check(validate_expr, ordered, cong.alphabet)
+    return QuasiOrderedExpr(ordered, cong)

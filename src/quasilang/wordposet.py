@@ -38,14 +38,6 @@ class WeightedWord:
     weights: tuple
     group: AbelianGroup
 
-    def __post_init__(self):
-        if len(self.letters) != len(self.weights):
-            raise ValidationError("letters and weights must have equal length")
-        # each distinct weight once: a word repeats the few elements of its group
-        for w in dict.fromkeys(self.weights):
-            if not self.group.contains(w):
-                raise ValidationError(f"weight {w!r} is not an element of the group")
-
     def __len__(self) -> int:
         return len(self.letters)
 
@@ -76,8 +68,8 @@ class WeightedWord:
     @classmethod
     def from_json(cls, data) -> "WeightedWord":
         p = Payload.of(data, "word")
-        group = AbelianGroup(p["orders"].ints(1))
-        return cls(p["letters"].strings(), p["weights"].rows(group.orders), group)
+        group, letters = AbelianGroup(p["orders"].ints(1)), p["letters"].strings()
+        return cls(letters, p["weights"].rows(group.orders, len(letters)), group)
 
 
 @dataclass(frozen=True)
@@ -484,7 +476,7 @@ def principal_ideal_language(
     alphabet = tuple(letters) if letters is not None else tuple(sorted(set(x.letters), key=repr))
     if len(set(alphabet)) < len(alphabet):
         a = next(a for i, a in enumerate(alphabet) if a in alphabet[:i])
-        raise ValidationError(f"letters: letter {a!r} is repeated")
+        raise ValidationError(f"letter {a!r} is repeated")
     if not set(x.letters) <= set(alphabet):
         raise ValidationError("the ambient alphabet must contain the word's letters")
     group = x.group
@@ -591,9 +583,6 @@ def fws_principal_series(weights, group: AbelianGroup, bound: int):
     per multiset and each form with a nonzero coefficient is added once.
     """
     weights = tuple(weights)
-    for w in weights:
-        if not group.contains(w):
-            raise ValidationError(f"{w!r} is not an element of the group")
     elements = group.elements()
     nvars = len(elements)
 

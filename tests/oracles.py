@@ -19,8 +19,8 @@ Not a test module (pytest does not collect it); test files import it by name.
 - `is_homomorphism_on_all_pairs` tests emb(ab) = emb(a) emb(b) at all |H|^2
   pairs, the oracle for the generator check of
   `grouptheory.validate_embedding`.
-- `moore_minimize` refines with one tuple signature per state and builds
-  its result through the checked `Dfa(...)`, the oracle for the column
+- `moore_minimize` refines with one tuple signature per state and renumbers
+  the blocks by its own breadth-first walk, the oracle for the column
   kernel of `langkit._minimize`.
 """
 

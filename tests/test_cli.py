@@ -8,7 +8,7 @@ from quasilang.cli import dumps, execute_request, main
 from quasilang.cyclotomic import cyclotomic_from_json
 from quasilang.errors import MAX_DEPTH
 from quasilang.wordposet import OrderedSurjection, WeightedWord, validate_witness
-from test_payload_fuzz import CORPUS
+from test_payload_fuzz import CONGRUENCE, CORPUS, DFA, EDGE, RATIONAL, RATIONAL2, S3, STAR, X, Y, Z2
 
 
 def run(req):
@@ -664,8 +664,8 @@ def test_repeated_ambient_letters_are_refused():
     """`letters` ["a", "a"] used to answer with a congruence of orders [2, 2]
     that listed every symbol twice."""
     x = {"letters": ["a"], "weights": [[1]], "orders": [2]}
-    assert run({"cmd": "poset.ideal", "x": x, "letters": ["a", "a"]}) == error("letters: letter 'a' is repeated")
-    assert run({"cmd": "poset.ideal", "x": x, "letters": ["a", "b", "a"]}) == error("letters: letter 'a' is repeated")
+    assert run({"cmd": "poset.ideal", "x": x, "letters": ["a", "a"]}) == error("letters[1]: letter 'a' is repeated")
+    assert run({"cmd": "poset.ideal", "x": x, "letters": ["a", "b", "a"]}) == error("letters[2]: letter 'a' is repeated")
     assert run({"cmd": "poset.ideal", "x": x, "letters": ["a", "b"]})["status"] == "ok"
 
 
@@ -918,3 +918,90 @@ def test_group_orders_are_budgeted_before_any_table_is_built():
         start = time.monotonic()
         assert run(req) == error("group: a group of 1000000000 elements exceeds the budget 200000"), req
         assert time.monotonic() - start < 1, req
+
+
+# one request per rule that a reader checks, or names with its path, where a
+# constructor or a library call used to answer without one
+RULES = [
+    ({"cmd": "lang.member", "dfa": dict(DFA, alphabet=["a", "a"]), "word": []}, "dfa.alphabet[1]: symbol 'a' is repeated"),
+    ({"cmd": "lang.member", "dfa": DFA, "word": ["a", "c"]}, "word[1] must be a symbol of dfa.alphabet, got 'c'"),
+    ({"cmd": "lang.compile", "expr": STAR, "alphabet": ["a", "b", "a"]}, "alphabet[2]: symbol 'a' is repeated"),
+    ({"cmd": "lang.compile", "expr": STAR, "alphabet": ["a"]}, "expr: expression uses symbols outside the alphabet: [\"'b'\"]"),
+    ({"cmd": "lang.compile", "congruence": dict(CONGRUENCE, phi=[["a", [1]]])}, "congruence.phi: symbol 'b' has no image"),
+    (
+        {"cmd": "lang.compile", "congruence": dict(CONGRUENCE, alphabet=["a", "b", "b"])},
+        "congruence.alphabet[2]: symbol 'b' is repeated",
+    ),
+    (
+        {"cmd": "genfun.closed", "quasi": {"ordered": {"kind": "symbol", "symbol": "c"}, "congruence": CONGRUENCE}},
+        "quasi.ordered: expression uses symbols outside the alphabet: [\"'c'\"]",
+    ),
+    (
+        {"cmd": "genfun.closed", "expr": STAR, "alphabet": ["a", "b"], "norm": {"length": True}},
+        "norm: ordered_genfun requires a universal norm",
+    ),
+    ({"cmd": "lang.enum", "dfa": DFA, "bound": [1, 1, 1]}, "bound must have 2 entries, got 3"),
+    ({"cmd": "lang.enum", "dfa": DFA, "bound": 1, "norm": {"pairs": [["a", 0]], "size": 1}}, "norm.pairs: symbol 'b' has no index"),
+    ({"cmd": "lang.intersect", "a": DFA, "b": dict(DFA, alphabet=["a", "c"])}, "b: cannot intersect automata over different alphabets"),
+    (
+        {"cmd": "genfun.expand", "rational": dict(RATIONAL2, numerator=[[[0], [1, ["1"]]]]), "degree": 1},
+        "rational.numerator[0][0] must have 2 entries, got 1",
+    ),
+    (
+        {"cmd": "genfun.expand", "rational": dict(RATIONAL, numerator=[[[0], [3, ["1"]]]]), "degree": 1},
+        "rational.numerator[0][1][1]: need 2 coordinates for order 3, got 1",
+    ),
+    ({"cmd": "genfun.translate", "rational": RATIONAL2, "exponents": [1]}, "exponents must have 2 entries, got 1"),
+    (
+        {"cmd": "genfun.filter", "rational": RATIONAL, "orders": [3], "psi": [[1], [2]], "target": [[0]]},
+        "psi must have 1 entries, got 2",
+    ),
+    ({"cmd": "poset.leq", "x": dict(X, weights=[[1]]), "y": Y}, "x.weights must have 2 entries, got 1"),
+    ({"cmd": "poset.leq", "x": X, "y": dict(Y, orders=[3])}, "y.orders: operands live over different weight groups"),
+    ({"cmd": "poset.ideal", "x": X, "letters": ["a"]}, "letters: the ambient alphabet must contain the word's letters"),
+    ({"cmd": "group.table", "group": {"table": [[0, 1], [1, 1]]}}, "group.table: element 1 has no inverse"),
+    ({"cmd": "group.restrict", "group": S3, "subgroup": Z2, "embedding": [0, 0]}, "embedding: embedding must be injective on H"),
+    (
+        {"cmd": "group.good", "group": Z2, "subgroups": [{"group": Z2, "embedding": [1, 0]}]},
+        "subgroups[0].embedding: embedding is not a homomorphism",
+    ),
+    ({"cmd": "wreath.hilbert", "group": Z2, "index": 2}, "index must lie in range(2), got 2"),
+    (
+        {"cmd": "segre.series", "complex": EDGE, "group": Z2, "action": [[[1, 1], [2, 2]]], "i": 0},
+        "action: need one vertex permutation per group element",
+    ),
+]
+
+
+def test_each_rule_is_refused_at_its_path():
+    for req, message in RULES:
+        assert run(req) == error(message), req
+
+
+def test_cyclotomic_fields_are_budgeted_before_they_are_built():
+    """The table of Q(zeta_5005) took 2.1 s and 598 MB to build, and a
+    `root_order` of 10^6 did not answer in 110 s."""
+    empty = {"nvars": 0, "order": 5005, "numerator": [], "factors": []}
+    field = "a cyclotomic field of order {} and {} row entries exceeds the budget 200000"
+    for req, expected in [
+        ({"cmd": "genfun.expand", "rational": empty, "degree": 0}, "rational.order: " + field.format(5005, 14414400)),
+        (
+            {"cmd": "genfun.translate", "rational": dict(empty, order=1), "exponents": [], "root_order": 10**6},
+            "root_order: a cyclotomic field of order 1000000 exceeds the budget 200000",
+        ),
+        (
+            {"cmd": "genfun.filter", "rational": empty, "orders": [2], "psi": [], "target": [[0]]},
+            "rational.order: " + field.format(5005, 14414400),
+        ),
+        (
+            {"cmd": "genfun.filter", "rational": RATIONAL, "orders": [5005], "psi": [[1]], "target": [[0]]},
+            "orders: " + field.format(15015, 86486400),
+        ),
+    ]:
+        start = time.monotonic()
+        assert run(req) == error(expected), req
+        assert time.monotonic() - start < 1, req
+    # Q(zeta_3) has a table of 3 * phi(3) = 6 row entries
+    expand = {"cmd": "genfun.expand", "rational": RATIONAL, "degree": 1}
+    assert run(dict(expand, budget=5)) == error("rational.order: a cyclotomic field of order 3 and 6 row entries exceeds the budget 5")
+    assert run(dict(expand, budget=6))["status"] == "ok"

@@ -360,29 +360,31 @@ def test_series_json_round_trip():
 
 
 def test_series_truncation_rejects_an_exponent_outside_the_bound():
-    # the first offending exponent in insertion order is named, whatever the
+    # the first offending exponent in payload order is named, whatever the
     # coefficient type, and a zero coefficient outside the bound counts too
-    message = r"^exponent \(1, 4\) exceeds the bound \(3, 3\)$"
-    for value in (2, Fraction(1, 2), CyclotomicNumber.root(4, 1), 0):
+    message = r"^series\.coefficients\[1\]\[0\] must be an exponent within the bound \[3, 3\], got \[1, 4\]$"
+    for value in ([1, ["2"]], [1, ["1/2"]], [4, ["0", "1"]], [1, ["0"]]):
+        blob = {"order": 1, "bound": [3, 3], "coefficients": [[[0, 0], value], [[1, 4], value], [[5, 0], value]]}
         with pytest.raises(ValidationError, match=message):
-            SeriesTruncation(1, (3, 3), {(0, 0): value, (1, 4): value, (5, 0): value})
+            SeriesTruncation.from_json(blob)
     blob = {"order": 1, "bound": [3, 3], "coefficients": [[[3, 3], [1, ["1"]]], [[4, 0], [4, ["0", "1"]]]]}
-    with pytest.raises(ValidationError, match=r"^exponent \(4, 0\) exceeds the bound \(3, 3\)$"):
+    with pytest.raises(ValidationError, match=r"^series\.coefficients\[1\]\[0\] must be .*, got \[4, 0\]$"):
         SeriesTruncation.from_json(blob)
-    # the corner of the box is inside it
-    assert SeriesTruncation(1, (3, 3), {(3, 3): 1, (0, 3): 2}).coefficient((3, 3)) == 1
+    # the corner of the box is inside it, and a zero coefficient is dropped
+    blob = {"order": 1, "bound": [3, 3], "coefficients": [[[3, 3], [1, ["1"]]], [[0, 3], [1, ["0"]]]]}
+    series = SeriesTruncation.from_json(blob)
+    assert series.coefficient((3, 3)) == 1 and list(series.coefficients) == [(3, 3)]
 
 
 def test_series_truncation_rejects_an_exponent_of_the_wrong_length():
     # zipped against the bound, (1,) and (0, 1, 5) passed the bound check
-    one = [1, ["1"]]
+    one, zero = [1, ["1"]], [1, ["0"]]
     for e in ([1], [0, 1, 5]):
-        blob = {"order": 1, "bound": [2, 2], "coefficients": [[[0, 0], one], [e, one]]}
-        message = "^" + re.escape(f"exponent {tuple(e)} does not have 2 coordinates") + "$"
-        with pytest.raises(ValidationError, match=message):
-            SeriesTruncation.from_json(blob)
-        with pytest.raises(ValidationError, match=message):
-            SeriesTruncation(1, (2, 2), {tuple(e): 0})
+        message = "^" + re.escape(f"series.coefficients[1][0] must have 2 entries, got {len(e)}") + "$"
+        for value in (one, zero):
+            blob = {"order": 1, "bound": [2, 2], "coefficients": [[[0, 0], one], [e, value]]}
+            with pytest.raises(ValidationError, match=message):
+                SeriesTruncation.from_json(blob)
 
 
 def test_series_from_dfa_stores_ints_and_reads_cyclotomics():

@@ -271,17 +271,17 @@ def test_minimize_matches_the_moore_reference():
 
 
 def test_fold_automata_pass_the_public_checks(monkeypatch):
-    """The fold builds its automata through `Dfa._trusted`; each of them, on
-    the principal ideals of the words of length <= 3 over {a, b} x Z/2, is
-    rebuilt through the checked `Dfa(...)`."""
+    """`Dfa(...)` does not check its table; each automaton the fold builds,
+    on the principal ideals of the words of length <= 3 over {a, b} x Z/2,
+    goes through JSON and back through the checked reader unchanged."""
     built = []
-    trusted = Dfa._trusted.__func__
+    init = Dfa.__init__
 
-    def recorded(cls, *args):
-        built.append(trusted(cls, *args))
-        return built[-1]
+    def recorded(self, *args):
+        init(self, *args)
+        built.append(self)
 
-    monkeypatch.setattr(Dfa, "_trusted", classmethod(recorded))
+    monkeypatch.setattr(Dfa, "__init__", recorded)
     group = AbelianGroup((2,))
     sigma = [(a, w) for a in AB for w in group.elements()]
     for n in range(4):
@@ -289,9 +289,12 @@ def test_fold_automata_pass_the_public_checks(monkeypatch):
             x = WeightedWord(tuple(a for a, _ in combo), tuple(w for _, w in combo), group)
             q = principal_ideal_language(x, letters=AB)
             compile_ordered(q.ordered, q.cong.alphabet)
+    monkeypatch.undo()
     for dfa in built:
-        checked = Dfa(dfa.alphabet, dfa.delta, dfa.start, dfa.accepting)
-        assert (checked.delta, checked.accepting) == (dfa.delta, dfa.accepting)
+        checked = dfa_from_json(dfa_to_json(dfa))
+        assert (checked.alphabet, checked.delta, checked.start, checked.accepting) == (
+            dfa.alphabet, dfa.delta, dfa.start, dfa.accepting
+        )
     assert len(built) > 1000
 
 
@@ -362,7 +365,7 @@ def test_enumerate_by_norm():
     full = compile_ordered(Star(AB), AB)
     norm = Norm.universal(AB)
     words = enumerate_by_norm(full, norm, (2, 1))
-    exact = [w for w in words if norm.vector(w) == (2, 1)]
+    exact = [w for w in words if (w.count("a"), w.count("b")) == (2, 1)]
     assert sorted(exact) == [("a", "a", "b"), ("a", "b", "a"), ("b", "a", "a")]
     assert len(words) == 9
 
@@ -406,15 +409,15 @@ def test_empty_alphabet_is_legal():
 
 
 def test_alphabet_validation():
-    # every automaton checks that its symbols are distinct
+    # the compiler and the readers refuse a repeated symbol
     with pytest.raises(ValidationError, match="alphabet symbols must be distinct"):
         compile_ordered(Star(()), ("a", "a"))
     payload = {"alphabet": ["a", "a"], "delta": [[0, 0]], "start": 0, "accepting": [0]}
-    with pytest.raises(ValidationError, match="alphabet symbols must be distinct"):
+    with pytest.raises(ValidationError, match=r"^dfa\.alphabet\[1\]: symbol 'a' is repeated$"):
         dfa_from_json(payload)
     # compiled over a repeated symbol, "a" alone was counted as 2 words of norm (0, 1)
     resp = execute_request({"cmd": "lang.compile", "expr": {"kind": "symbol", "symbol": "a"}, "alphabet": ["a", "a"]})
-    assert resp == {"status": "error", "diagnostics": ["ValidationError: alphabet symbols must be distinct"]}
+    assert resp == {"status": "error", "diagnostics": ["ValidationError: alphabet[1]: symbol 'a' is repeated"]}
     assert Norm.universal(AB).is_universal
 
 

@@ -6,10 +6,12 @@ another JSON type, deletes it, wraps it in a list, or duplicates it inside
 its list.  Numbers are never enlarged, so no mutant tests a budget.  Every
 mutant must be answered: no exception escapes `execute_request`, and no
 answer is the "bad request" backstop, which would mean a field was read
-without the payload reader's checks.
+without the payload reader's checks.  Every `ValidationError` answer names
+the JSON path of what it refuses.
 """
 
 import copy
+import re
 
 from quasilang.cli import HANDLERS, execute_request
 
@@ -71,6 +73,12 @@ CORPUS = [
 ]
 
 REPLACEMENTS = [None, True, 0, 1.5, "x", [], {}]
+# a field, then `.field` and `[i]` steps, then what is wrong with the value there
+PATH = re.compile(r"ValidationError: (\w+)(?:\.\w+|\[\d+\])*(?::| must| is| has| nests)")
+# the fields of each subcommand: those of its corpus requests
+FIELDS = {}
+for _req in CORPUS:
+    FIELDS.setdefault(_req["cmd"], set()).update(_req)
 
 
 def nodes(value, path=()):
@@ -112,7 +120,9 @@ def test_the_corpus_covers_every_subcommand_and_answers():
 
 
 def test_one_node_mutants_are_answered_without_the_backstop():
-    """Every mutant of the corpus, in a fixed order (about 4,400)."""
+    """Every mutant of the corpus, in a fixed order (about 4,400).  A
+    `ValidationError` answer starts with the path of a field of its
+    subcommand."""
     count = 0
     for cmd, what, mutant in ((req["cmd"], what, mutant) for req in CORPUS for what, mutant in mutants(req)):
         count += 1
@@ -124,4 +134,7 @@ def test_one_node_mutants_are_answered_without_the_backstop():
         if resp["status"] == "error":
             (message,) = resp["diagnostics"]
             assert not message.startswith("bad request:"), (cmd, what, message)
+            if message.startswith("ValidationError"):
+                path = PATH.match(message)
+                assert path and path.group(1) in FIELDS[cmd], (cmd, what, message)
     assert count > 4000
