@@ -331,7 +331,7 @@ def _label_from_json(p: Payload, table: grouptheory.CharacterTable) -> tuple:
     """A wreath label: one partition, a list of non-increasing positive
     parts, per irreducible of the table."""
     entries = p.list(len(table.rows))
-    label = tuple(part.ints(1) for part in entries)
+    label = tuple([part.ints(1) for part in entries])
     for part, parts in zip(entries, label):
         if any(a < b for a, b in zip(parts, parts[1:])):
             raise part.expected("a partition, its parts non-increasing")
@@ -355,7 +355,7 @@ def _cmd_wreath_char(req):
         values.append(
             {"label": [list(p) for p in label], "size": size, "value": cyclotomic_to_json(chi.values[label])}
         )
-    return {"dim": chi.dim(), "values": values}
+    return {"dim": chi.dim(table), "values": values}
 
 
 def _cmd_wreath_stability(req):
@@ -381,7 +381,7 @@ def _cmd_wreath_hilbert(req):
 def _cmd_segre_product(req):
     x = segre.SimplicialComplex.from_json(req["x"])
     y = segre.SimplicialComplex.from_json(req["y"])
-    return segre.segre_product(x, y, budget=_budget(req)).to_json()
+    return req.get("budget").check(segre.segre_product, x, y, budget=_budget(req)).to_json()
 
 
 def _cmd_segre_homology(req):
@@ -395,7 +395,7 @@ def _cmd_segre_homology(req):
 
 def _cmd_segre_series(req):
     x = segre.SimplicialComplex.from_json(req["complex"])
-    table = _wreath_table(req)
+    group = _group_from_json(req["group"], req)
     vertices = set(x.vertices)
 
     def vertex(p: Payload):
@@ -405,9 +405,11 @@ def _cmd_segre_series(req):
         return v
 
     maps = [perm.pairs(vertex, vertex, "vertex") for perm in req["action"].list()]
-    action = req["action"].check(segre.GroupAction, table, x, maps)
-    nmax = req.get("nmax", 2).int(1)
-    data = segre.equivariant_hilbert_data(action, req["i"].int(0), nmax, _budget(req))
+    action = req["action"].check(segre.GroupAction, group, x, maps)
+    nmax = req.get("nmax", 2)
+    n_max = nmax.int(1)
+    # each power X^(*n), n <= nmax, is checked against the simplex budget
+    data = nmax.check(segre.equivariant_hilbert_data, action, req["i"].int(0), n_max, _budget(req))
     return [
         [[list(content), mult] for content, mult in sorted(poly.items())] for poly in data
     ]

@@ -85,7 +85,7 @@ def _field(order: int) -> tuple[int, tuple]:
     row = [1] + [0] * (d - 1)
     rows = []
     for _ in range(max(order, 2 * d - 1)):
-        rows.append(tuple((i, c) for i, c in enumerate(row) if c))
+        rows.append(tuple([(i, c) for i, c in enumerate(row) if c]))
         # times x, folding x^d = -(phi_0 + phi_1 x + ... + phi_(d-1) x^(d-1))
         top = row[-1]
         row = [0] + row[:-1]
@@ -156,14 +156,14 @@ class CyclotomicNumber:
     __slots__ = ("order", "_num", "_den", "_coeffs")
 
     def __init__(self, order: int, coeffs) -> None:
-        coeffs = tuple(Fraction(c) for c in coeffs)
+        coeffs = tuple([Fraction(c) for c in coeffs])
         if len(coeffs) != euler_phi(order):
             raise ValidationError(
                 f"need {euler_phi(order)} coordinates for order {order}, got {len(coeffs)}"
             )
-        den = lcm(*(q.denominator for q in coeffs))
+        den = lcm(*[q.denominator for q in coeffs])
         self.order = order
-        self._num = tuple(q.numerator * (den // q.denominator) for q in coeffs)
+        self._num = tuple([q.numerator * (den // q.denominator) for q in coeffs])
         self._den = den
         self._coeffs = coeffs
 
@@ -172,7 +172,7 @@ class CyclotomicNumber:
         """The power-basis coordinates as Fractions (built on first use)."""
         if self._coeffs is None:
             den = self._den
-            self._coeffs = tuple(Fraction(n, den) for n in self._num)
+            self._coeffs = tuple([Fraction(n, den) for n in self._num])
         return self._coeffs
 
     @classmethod

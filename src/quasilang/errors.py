@@ -104,11 +104,11 @@ class Payload:
             raise self.expected("a JSON object", True)
         return Payload(self.value.get(field, default), field, self)
 
-    def check(self, build, *args):
-        """build(*args), a library helper that checks a rule, with this
-        reader's path in front of the ValidationError it raises."""
+    def check(self, build, *args, **kwargs):
+        """build(*args, **kwargs), a library helper that checks a rule, with
+        this reader's path in front of the ValidationError it raises."""
         try:
-            return build(*args)
+            return build(*args, **kwargs)
         except ValidationError as exc:
             raise self.error(str(exc)) from None
 
@@ -170,7 +170,7 @@ class Payload:
     def row(self, bounds: tuple) -> tuple:
         """A list of one int in range(n) per bound n, as a tuple: an element
         of Z/n_1 x ... x Z/n_r."""
-        return tuple(e.int(0, n) for e, n in zip(self.list(len(bounds)), bounds))
+        return tuple([e.int(0, n) for e, n in zip(self.list(len(bounds)), bounds)])
 
     def rows(self, bounds: tuple, length: int | None = None) -> tuple:
         """A list of `row(bounds)` values as a tuple, read with no reader per
@@ -189,7 +189,7 @@ class Payload:
             break
         if len(out) == len(self):
             return tuple(out)
-        return tuple(row.row(bounds) for row in self.list())
+        return tuple([row.row(bounds) for row in self.list()])
 
     def bool(self) -> bool:
         if type(self.value) is not bool:

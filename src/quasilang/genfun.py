@@ -73,7 +73,7 @@ def _form_steps(form: "LinearForm", order: int, rows, units) -> tuple[int, list]
     """(L, steps) with L the lcm of the denominators of the form's
     coefficients c_v and steps the pairs (units[v], entries of L c_v)."""
     terms = [(v, c.lift(order)) for v, c in form.terms]
-    scale = lcm(*(c._den for _, c in terms))
+    scale = lcm(*[c._den for _, c in terms])
     return scale, [(units[v], _entries(c, scale, rows)) for v, c in terms]
 
 
@@ -171,7 +171,7 @@ class LinearForm:
         return LinearForm({v: c.lift(order) for v, c in self.terms})
 
     def key(self, order: int):
-        return tuple((v, c.lift(order).coeffs) for v, c in self.terms)
+        return tuple([(v, c.lift(order).coeffs) for v, c in self.terms])
 
     def is_integral(self) -> bool:
         return all(c.is_integral() for _, c in self.terms)
@@ -236,7 +236,7 @@ class FactoredRational:
     @classmethod
     def geometric(cls, nvars: int, form: LinearForm) -> "FactoredRational":
         """1 / (1 - form)."""
-        order = lcm(*(c.order for _, c in form.terms))
+        order = lcm(*[c.order for _, c in form.terms])
         return cls(nvars, order, _one(_field(order)[0], (0,) * nvars), 1, (form,))
 
     @classmethod
@@ -252,7 +252,7 @@ class FactoredRational:
         """
         order = 1
         for form, c in terms:
-            order = lcm(order, c.order, *(v.order for _, v in form.terms))
+            order = lcm(order, c.order, *[v.order for _, v in form.terms])
         d, rows = _field(order)
         units = _units(len(terms) + 1, nvars)
         num, num_den = [{} for _ in range(d)], 1
@@ -285,7 +285,7 @@ class FactoredRational:
 
         def ident(f: LinearForm) -> tuple:
             f = f.lift(order)
-            key = tuple((v, c._num, c._den) for v, c in f.terms)
+            key = tuple([(v, c._num, c._den) for v, c in f.terms])
             forms.setdefault(key, f)
             return key
 
@@ -308,7 +308,7 @@ class FactoredRational:
         num, den = _sum(*times_extra(self, extra_b), *times_extra(other, extra_a))
         all_factors = list(common.elements()) + list(extra_a.elements()) + list(extra_b.elements())
         return FactoredRational(
-            self.nvars, order, _unpack(num, units), den, tuple(forms[k] for k in all_factors)
+            self.nvars, order, _unpack(num, units), den, tuple([forms[k] for k in all_factors])
         )
 
     def __mul__(self, other: "FactoredRational") -> "FactoredRational":
@@ -323,7 +323,7 @@ class FactoredRational:
                     dst = num[k]
                     for e1, x in a_col.items():
                         for e2, y in b_col.items():
-                            e = tuple(map(add, e1, e2))
+                            e = tuple([*map(add, e1, e2)])
                             dst[e] = dst.get(e, 0) + r * x * y
         return FactoredRational(self.nvars, order, num, self.den * other.den, self.factors + other.factors)
 
@@ -365,7 +365,7 @@ class FactoredRational:
                 for k, r in rows[(i * step + unit * sum(map(mul, exponents, e))) % order]:
                     num[k][e] = num[k].get(e, 0) + r * x
         scale = {i: CyclotomicNumber.root(ro, k).lift(order) for i, k in enumerate(exponents)}
-        factors = tuple(f.lift(order).scaled_vars(scale) for f in self.factors)
+        factors = tuple([f.lift(order).scaled_vars(scale) for f in self.factors])
         return FactoredRational(self.nvars, order, num, self.den, factors)
 
     # -- expansion ------------------------------------------------------------
@@ -394,7 +394,7 @@ class FactoredRational:
         rows = _field(order)[1]
         strides = _strides(bound)
         size = prod(b + 1 for b in bound)
-        scale = lcm(*(c._den for f in self.factors for _, c in f.terms))
+        scale = lcm(*[c._den for f in self.factors for _, c in f.terms])
         powers = [scale**n for n in range(sum(bound) + 1)]
         cols = []
         for col in self.num:
@@ -406,7 +406,7 @@ class FactoredRational:
         boxes = [(s, s * (b + 1), s * b) for s, b in zip(strides, bound)]
         for f in self.factors:
             steps = [
-                (*boxes[v], tuple((cols[k], cols[j], m) for k, j, m in _entries(c, scale, rows)))
+                (*boxes[v], tuple([(cols[k], cols[j], m) for k, j, m in _entries(c, scale, rows)]))
                 for v, c in f.terms
                 if bound[v]
             ]
@@ -419,7 +419,7 @@ class FactoredRational:
                             if x:
                                 dst[t] += m * x
         coeffs = {}
-        for e, vec in zip(itertools.product(*(range(b + 1) for b in bound)), zip(*cols)):
+        for e, vec in zip(itertools.product(*[range(b + 1) for b in bound]), zip(*cols)):
             if any(vec):
                 s = self.den * powers[sum(e)]
                 if order == 1 and vec[0] % s == 0:
@@ -570,7 +570,7 @@ def series_from_dfa(dfa: Dfa, norm: Norm, bound) -> SeriesTruncation:
         j -= 1
         slots *= head[j] + 1
     lead, block = head[:j], head[j:]
-    cells = list(itertools.product(*(range(b + 1) for b in block)))
+    cells = list(itertools.product(*[range(b + 1) for b in block]))
     # no count exceeds the words of exponent b, multinomial(sum(b); b) prod n_v^b_v,
     # with b_v = bound_v where n_v > 0 symbols step along v and b_v = 0 elsewhere
     most, total = 1, 0
@@ -594,7 +594,7 @@ def series_from_dfa(dfa: Dfa, norm: Norm, bound) -> SeriesTruncation:
         kinds.append((1, (packed(lambda c: c[t] < b), 8 * w * s)))
     kinds.append((2, None))
     steps = [[(*kinds[i], tuple(targets.items())) for i, targets in row.items()] for row in edges]
-    sums = list(map(sum, itertools.product(*(range(b + 1) for b in lead))))
+    sums = list(map(sum, itertools.product(*[range(b + 1) for b in lead])))
     # the slot of cell c at length L and key k holds box index base[k] + L + offsets[c]
     base = [k * slots * (top + 1) - s for k, s in enumerate(sums)]
     offsets = [b * (top + 1) - sum(c) for b, c in enumerate(cells)]
@@ -606,7 +606,8 @@ def series_from_dfa(dfa: Dfa, norm: Norm, bound) -> SeriesTruncation:
     layer, length = {dfa.start: {0: 1}}, 0
     while layer:
         # empty steps are skipped, so no dict of the next layer is empty; a
-        # target's first contribution is a copy, as the step may feed others
+        # target's first contribution is stored as it is, except an unscaled
+        # step, which may feed other targets and is copied
         nxt: dict[int, dict[int, int]] = {}
         accepted = []
         for p, counts in layer.items():
@@ -627,7 +628,7 @@ def series_from_dfa(dfa: Dfa, norm: Norm, bound) -> SeriesTruncation:
                     scaled = stepped if mult == 1 else {f: c * mult for f, c in stepped.items()}
                     target = nxt.get(q)
                     if target is None:
-                        nxt[q] = dict(scaled)
+                        nxt[q] = dict(scaled) if mult == 1 else scaled
                     else:
                         for f, c in scaled.items():
                             target[f] = target.get(f, 0) + c
@@ -645,7 +646,7 @@ def series_from_dfa(dfa: Dfa, norm: Norm, bound) -> SeriesTruncation:
                     for c, o in itertools.compress(zip(cs, offsets), cs):
                         totals[i + o] = c
         layer, length = nxt, length + 1
-    exponents = itertools.compress(itertools.product(*(range(b + 1) for b in bound)), totals)
+    exponents = itertools.compress(itertools.product(*[range(b + 1) for b in bound]), totals)
     return SeriesTruncation(1, bound, dict(zip(exponents, filter(None, totals))))
 
 
@@ -741,34 +742,35 @@ def ordered_genfun(expr, alphabet, norm: Norm | None = None) -> FactoredRational
     if not norm.is_universal:
         raise ValidationError("ordered_genfun requires a universal norm")
     certify_unambiguous(expr, symbols)
+    return _closed_form(expr, norm)
+
+
+def _closed_form(e, norm: Norm) -> FactoredRational:
+    """The K_1 form of the expression e, as `ordered_genfun` describes it."""
     nvars = norm.size
-
-    def build(e) -> FactoredRational:
-        if isinstance(e, Empty):
-            return FactoredRational.zero(nvars)
-        if isinstance(e, Epsilon):
-            return FactoredRational.one(nvars)
-        if isinstance(e, Sym):
-            return FactoredRational.monomial(nvars, norm.index(e.symbol))
-        if isinstance(e, Star):
-            coeffs: dict = {}
-            for s in e.symbols:
-                v = norm.index(s)
-                coeffs[v] = coeffs.get(v, CyclotomicNumber.zero()) + CyclotomicNumber.one()
-            return FactoredRational.geometric(nvars, LinearForm(coeffs))
-        if isinstance(e, Union):
-            acc = FactoredRational.zero(nvars)
-            for p in e.parts:
-                acc = acc + build(p)
-            return acc
-        if isinstance(e, Concat):
-            acc = FactoredRational.one(nvars)
-            for p in e.parts:
-                acc = acc * build(p)
-            return acc
-        raise ValidationError(f"not a language expression: {e!r}")
-
-    return build(expr)
+    if isinstance(e, Empty):
+        return FactoredRational.zero(nvars)
+    if isinstance(e, Epsilon):
+        return FactoredRational.one(nvars)
+    if isinstance(e, Sym):
+        return FactoredRational.monomial(nvars, norm.index(e.symbol))
+    if isinstance(e, Star):
+        coeffs: dict = {}
+        for s in e.symbols:
+            v = norm.index(s)
+            coeffs[v] = coeffs.get(v, CyclotomicNumber.zero()) + CyclotomicNumber.one()
+        return FactoredRational.geometric(nvars, LinearForm(coeffs))
+    if isinstance(e, Union):
+        acc = FactoredRational.zero(nvars)
+        for p in e.parts:
+            acc = acc + _closed_form(p, norm)
+        return acc
+    if isinstance(e, Concat):
+        acc = FactoredRational.one(nvars)
+        for p in e.parts:
+            acc = acc * _closed_form(p, norm)
+        return acc
+    raise ValidationError(f"not a language expression: {e!r}")
 
 
 def congruence_filter(F: FactoredRational, psi, group: AbelianGroup, target) -> FactoredRational:

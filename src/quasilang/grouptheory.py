@@ -31,24 +31,18 @@ from .errors import UnsupportedGroupError, ValidationError
 # partitions and symmetric-group characters
 
 
-@lru_cache(maxsize=None)
 def partitions(n: int) -> tuple[tuple[int, ...], ...]:
     """All partitions of n in descending lexicographic order."""
+    return _partitions_at_most(n, n)
+
+
+@lru_cache(maxsize=None)
+def _partitions_at_most(n: int, largest: int) -> tuple[tuple[int, ...], ...]:
+    """The partitions of n with no part above `largest`, in descending
+    lexicographic order."""
     if n == 0:
         return ((),)
-    out = []
-
-    def rec(remaining: int, maximum: int, acc: list):
-        if remaining == 0:
-            out.append(tuple(acc))
-            return
-        for part in range(min(remaining, maximum), 0, -1):
-            acc.append(part)
-            rec(remaining - part, part, acc)
-            acc.pop()
-
-    rec(n, n, [])
-    return tuple(out)
+    return tuple([(p,) + rest for p in range(min(n, largest), 0, -1) for rest in _partitions_at_most(n - p, p)])
 
 
 def centralizer_order(cycle_type: tuple[int, ...]) -> int:
@@ -87,7 +81,7 @@ def _border_strips(lam: tuple[int, ...], k: int) -> tuple[tuple[int, tuple[int, 
     for b in betas:
         if b >= k and b - k not in betas:
             moved = sorted([c for c in betas if c != b] + [b - k], reverse=True)
-            smaller = tuple(p for p in (c - (r - 1 - i) for i, c in enumerate(moved)) if p > 0)
+            smaller = tuple([p for p in (c - (r - 1 - i) for i, c in enumerate(moved)) if p > 0])
             out.append(((-1) ** sum(b - k < c < b for c in betas), smaller))
     return tuple(out)
 
@@ -116,7 +110,7 @@ class FiniteGroup:
     """
 
     def __init__(self, table, labels=None, name: str = "G", kind=("custom",)):
-        self.table = tuple(tuple(row) for row in table)
+        self.table = tuple([tuple(row) for row in table])
         n = len(self.table)
         self.labels = tuple(labels) if labels is not None else tuple(range(n))
         self.name = name
@@ -250,7 +244,7 @@ class FiniteGroup:
             [index[(g.table[a1][a2], h.table[b1][b2])] for (a2, b2) in pairs]
             for (a1, b1) in pairs
         ]
-        labels = tuple((g.labels[a], h.labels[b]) for a, b in pairs)
+        labels = tuple([(g.labels[a], h.labels[b]) for a, b in pairs])
         return cls(table, labels=labels, name=f"{g.name}x{h.name}", kind=("product", g, h))
 
     @classmethod
@@ -303,7 +297,7 @@ def abelian_characters(group: FiniteGroup):
         subgroup = [elem for _, _, elem in walk]
         in_sub = set(subgroup)
         chars = new_chars
-    return [tuple(chi[g] for g in range(n)) for chi in chars], M
+    return [tuple([chi[g] for g in range(n)]) for chi in chars], M
 
 
 # ---------------------------------------------------------------------------
@@ -312,9 +306,13 @@ def abelian_characters(group: FiniteGroup):
 
 class CharacterTable:
     """Irreducible characters over Q(zeta_N), rows by irreducible, columns by
-    conjugacy class; `element_class` binds table columns to group elements
-    when an explicit group is attached.  The table is square and its
-    identity class has size 1, as the table constructions build it."""
+    conjugacy class; `element_class`, when the table was built from a group,
+    maps each element index to its column.  The table is square and its
+    identity class has size 1, as the table constructions build it.
+
+    A table holds no reference to a group: a group owns its table (see
+    `character_table`), and a table owns what others derive from it in
+    `memo`, whose values refer to neither."""
 
     def __init__(
         self,
@@ -324,18 +322,16 @@ class CharacterTable:
         identity_class: int,
         row_names=None,
         class_names=None,
-        group: FiniteGroup | None = None,
         element_class=None,
     ):
         self.order = order
         self.class_sizes = tuple(class_sizes)
-        self.rows = tuple(tuple(v for v in row) for row in rows)
+        self.rows = tuple([tuple(row) for row in rows])
         self.identity_class = identity_class
         self.row_names = tuple(row_names) if row_names is not None else tuple(range(len(self.rows)))
         self.class_names = (
             tuple(class_names) if class_names is not None else tuple(range(len(self.class_sizes)))
         )
-        self.group = group
         self.element_class = tuple(element_class) if element_class is not None else None
         # what other modules derive from this table (the wreath module keeps
         # its classes and characters here): valid as long as the table is,
@@ -418,7 +414,7 @@ def symmetric_table(n: int, group: FiniteGroup | None = None) -> CharacterTable:
     element_class = None
     if group is not None:
         part_index = {mu: i for i, mu in enumerate(parts)}
-        element_class = tuple(part_index[cycle_type(p)] for p in group.labels)
+        element_class = tuple([part_index[cycle_type(p)] for p in group.labels])
     return CharacterTable(
         order=1,
         class_sizes=sizes,
@@ -426,7 +422,6 @@ def symmetric_table(n: int, group: FiniteGroup | None = None) -> CharacterTable:
         identity_class=identity_class,
         row_names=parts,
         class_names=parts,
-        group=group,
         element_class=element_class,
     )
 
@@ -466,7 +461,6 @@ def product_table(ta: CharacterTable, tb: CharacterTable, group: FiniteGroup | N
         identity_class=identity_class,
         row_names=row_names,
         class_names=class_names,
-        group=group,
         element_class=element_class,
     )
 
@@ -480,7 +474,6 @@ def abelian_table(group: FiniteGroup) -> CharacterTable:
         class_sizes=[1] * group.order,
         rows=rows,
         identity_class=group.identity,
-        group=group,
         element_class=tuple(range(group.order)),
     )
 
@@ -490,7 +483,8 @@ def character_table(group: FiniteGroup) -> CharacterTable:
     their own constructions, and any other abelian group (cyclic groups
     included) gets the table of its linear characters.  Raises
     UnsupportedGroupError when none applies.  The table is built once per
-    group and kept on it (groups and tables are not mutated)."""
+    group and kept on it (groups and tables are not mutated): the group owns
+    its table, and the table does not refer back to the group."""
     if group._character_table is not None:
         return group._character_table
     kind = group.kind[0]
@@ -652,7 +646,7 @@ def is_good_family(G: FiniteGroup, subgroups, covering_only: bool = False) -> di
             continue
         tH = character_table(H)
         values = {v.key(): v for row, d in zip(tH.rows, tH.dims()) if d == 1 for v in row}
-        exponents.append(lcm(*(_root_order(v, H.order) for v in values.values())))
+        exponents.append(lcm(*[_root_order(v, H.order) for v in values.values()]))
     n_irr = len(character_table(G).rows)
     stacked = [
         list(itertools.chain.from_iterable(block[i] for block in blocks))
@@ -686,13 +680,6 @@ def young_subgroups(n: int, group: FiniteGroup | None = None):
         H = factors[0]
         for f in factors[1:]:
             H = FiniteGroup.direct_product(H, f)
-
-        def flatten(label, sizes):
-            if len(sizes) == 1:
-                return [label]
-            left = flatten(label[0], sizes[:-1])
-            return left + [label[1]]
-
         offsets = []
         pos = 0
         for p in lam:
@@ -700,7 +687,11 @@ def young_subgroups(n: int, group: FiniteGroup | None = None):
             pos += p
         embedding = []
         for label in H.labels:
-            blocks = flatten(label, lam)
+            blocks, rest = [], label  # labels nest to the left: ((b_1, b_2), b_3) ...
+            for _ in lam[1:]:
+                rest, block = rest
+                blocks.append(block)
+            blocks = [rest] + blocks[::-1]
             perm = list(range(n))
             for block, off, size in zip(blocks, offsets, lam):
                 for i in range(size):

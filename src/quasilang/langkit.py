@@ -38,14 +38,14 @@ class AbelianGroup:
         return (0,) * len(self.orders)
 
     def elements(self) -> list[tuple[int, ...]]:
-        return list(itertools.product(*(range(n) for n in self.orders)))
+        return list(itertools.product(*[range(n) for n in self.orders]))
 
     def add(self, a, b) -> tuple[int, ...]:
         # mapped rather than a generator: the witness search adds at every step
-        return tuple(map(_add_mod, a, b, self.orders))
+        return tuple([*map(_add_mod, a, b, self.orders)])
 
     def neg(self, a) -> tuple[int, ...]:
-        return tuple((-x) % n for x, n in zip(a, self.orders))
+        return tuple([(-x) % n for x, n in zip(a, self.orders)])
 
     def sum(self, elems) -> tuple[int, ...]:
         total = self.identity()
@@ -54,7 +54,7 @@ class AbelianGroup:
         return total
 
     def element_order(self, a) -> int:
-        return lcm(*(n // gcd(x, n) for x, n in zip(a, self.orders))) if self.orders else 1
+        return lcm(*[n // gcd(x, n) for x, n in zip(a, self.orders)]) if self.orders else 1
 
     def char_exponent(self, m, g, modulus: int | None = None) -> int:
         """Exponent e with chi_m(g) = zeta_N^e, N the exponent (or a multiple)."""
@@ -183,7 +183,7 @@ class Dfa:
 
     def __init__(self, alphabet, delta, start: int, accepting):
         self.alphabet = tuple(alphabet)
-        self.delta = tuple(map(tuple, delta))
+        self.delta = tuple([*map(tuple, delta)])
         self.start = start
         self.accepting = frozenset(accepting)
         self._sym_index = {s: i for i, s in enumerate(self.alphabet)}
@@ -243,7 +243,7 @@ def _canonicalize(alphabet, delta, start, accepting) -> Dfa:
             if t not in order:
                 order[t] = len(order)
                 queue.append(t)
-    new_delta = [tuple(map(order.__getitem__, delta[q])) for q in queue]
+    new_delta = [tuple([*map(order.__getitem__, delta[q])]) for q in queue]
     new_acc = {order[q] for q in accepting if q in order}
     return Dfa(alphabet, new_delta, 0, new_acc)
 
@@ -260,14 +260,14 @@ def _minimize(dfa: Dfa) -> Dfa:
     block = [1 if q in dfa.accepting else 0 for q in range(dfa.n_states)]
     count = len(set(block))
     while True:
-        signatures = list(zip(block, *(map(block.__getitem__, c) for c in columns)))
+        signatures = list(zip(block, *[map(block.__getitem__, c) for c in columns]))
         ids = dict(zip(dict.fromkeys(signatures), itertools.count()))
         block = list(map(ids.__getitem__, signatures))
         if len(ids) == count:
             break
         count = len(ids)
     rows = dict(zip(block, dfa.delta))  # any state's row: a block's states step to the same blocks
-    delta = [tuple(map(block.__getitem__, rows[b])) for b in range(count)]
+    delta = [tuple([*map(block.__getitem__, rows[b])]) for b in range(count)]
     accepting = {block[q] for q in dfa.accepting}
     return _canonicalize(dfa.alphabet, delta, block[dfa.start], accepting)
 

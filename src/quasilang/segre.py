@@ -20,7 +20,7 @@ from fractions import Fraction
 
 from .cyclotomic import CyclotomicNumber
 from .errors import Payload, ValidationError
-from .grouptheory import CharacterTable
+from .grouptheory import FiniteGroup, character_table
 
 DEFAULT_SIMPLEX_BUDGET = 200_000
 
@@ -98,7 +98,7 @@ def segre_product(*factors: SimplicialComplex, budget: int = DEFAULT_SIMPLEX_BUD
     d; their total is checked against the budget before anything is built."""
     if not factors:
         raise ValidationError("a Segre product needs at least one factor")
-    dims = set.intersection(*(set(f.simplices) for f in factors))
+    dims = set.intersection(*[set(f.simplices) for f in factors])
     count = sum(
         math.prod(len(f.simplices[d]) for f in factors) * math.factorial(d + 1) ** (len(factors) - 1)
         for d in dims
@@ -108,12 +108,13 @@ def segre_product(*factors: SimplicialComplex, budget: int = DEFAULT_SIMPLEX_BUD
     tops = [set(f.facets()) for f in factors]
     facets = []
     for d in dims:
-        for simplices in itertools.product(*(f.simplices[d] for f in factors)):
+        for simplices in itertools.product(*[f.simplices[d] for f in factors]):
             if any(map(operator.contains, tops, simplices)):
                 first, *rest = simplices
-                for perms in itertools.product(*map(itertools.permutations, rest)):
+                # product makes a tuple of each argument: from a list, at its exact size
+                for perms in itertools.product(*[list(itertools.permutations(s)) for s in rest]):
                     facets.append(zip(first, *perms))
-    return SimplicialComplex(itertools.product(*(f.vertices for f in factors)), facets)
+    return SimplicialComplex(itertools.product(*[f.vertices for f in factors]), facets)
 
 
 # ---------------------------------------------------------------------------
@@ -242,16 +243,16 @@ def homology_basis(x: SimplicialComplex, i: int) -> tuple[list[dict], _Echelon]:
 
 
 class GroupAction:
-    """An action of a group (with character table) on a complex by vertex
-    permutations, one permutation per element index."""
+    """An action of a group on a complex by vertex permutations, one
+    permutation per element index.  The action refers to the group, to its
+    `character_table` (which the group owns) and to the complex; none of
+    them refers back to the action."""
 
-    def __init__(self, table: CharacterTable, complex_: SimplicialComplex, vertex_maps):
-        self.table = table
+    def __init__(self, group: FiniteGroup, complex_: SimplicialComplex, vertex_maps):
+        self.group = group
+        self.table = character_table(group)
         self.complex = complex_
         self.vertex_maps = [dict(m) for m in vertex_maps]
-        group = table.group
-        if group is None:
-            raise ValidationError("equivariant data needs a table bound to a group")
         if len(self.vertex_maps) != group.order:
             raise ValidationError("need one vertex permutation per group element")
         for g in range(group.order):
@@ -320,10 +321,9 @@ def equivariant_hilbert_data(
 ) -> list[dict]:
     """For each n <= n_max, the character of G^n on H_i(X^(*n)) pushed to the
     monomial image: a dict exponent-vector (over irr(G)) -> multiplicity."""
-    action_table = action.table
+    action_table, group = action.table, action.group
     vertex_maps = action.vertex_maps
     x = action.complex
-    group = action_table.group
     results = []
     class_reps = [cls[0] for cls in group.conjugacy_classes()]
     # bind table classes to group classes via element_class
@@ -342,9 +342,9 @@ def equivariant_hilbert_data(
         for combo in itertools.product(range(len(class_reps)), repeat=n):
             vmap = {}
             for v in power.vertices:
-                vmap[v] = tuple(
+                vmap[v] = tuple([
                     vertex_maps[class_reps[combo[k]]][v[k]] for k in range(n)
-                )
+                ])
             traces[combo] = equivariant_trace(power, homology, i, vmap)
         # each nonzero trace times the size of its class tuple
         weighted = []

@@ -42,7 +42,7 @@ class WeightedWord:
         return len(self.letters)
 
     def symbols(self) -> tuple:
-        return tuple(zip(self.letters, self.weights))
+        return tuple([*zip(self.letters, self.weights)])
 
     def delete_from_right(self, positions) -> "WeightedWord":
         """Drop the letters at 1-based offsets from the right."""
@@ -50,8 +50,8 @@ class WeightedWord:
         drop = {n - p for p in positions}
         keep = [i for i in range(n) if i not in drop]
         return WeightedWord(
-            tuple(self.letters[i] for i in keep),
-            tuple(self.weights[i] for i in keep),
+            tuple([self.letters[i] for i in keep]),
+            tuple([self.weights[i] for i in keep]),
             self.group,
         )
 
@@ -103,10 +103,10 @@ class OrderedSurjection:
         return len(self.mapping)
 
     def fiber(self, i: int) -> tuple:
-        return tuple(j for j, v in enumerate(self.mapping) if v == i)
+        return tuple([j for j, v in enumerate(self.mapping) if v == i])
 
     def pull_letters(self, letters) -> tuple:
-        return tuple(letters[v] for v in self.mapping)
+        return tuple([letters[v] for v in self.mapping])
 
     def push_weights(self, weights, group: AbelianGroup) -> tuple:
         sums = [group.identity()] * self.target_size
@@ -202,7 +202,7 @@ def leq(x: WeightedWord, y: WeightedWord):
         for fiber, nxt in steps:
             if j == m:
                 if nxt == x.weights:
-                    return OrderedSurjection(tuple(e[0] for e in stack[1:]) + (fiber,), n)
+                    return OrderedSurjection(tuple([e[0] for e in stack[1:]]) + (fiber,), n)
             elif (j, nxt) not in dead:
                 stack.append((fiber, nxt, _fiber_steps(x, nxt, y.letters[j], y.weights[j])))
                 break
@@ -396,39 +396,37 @@ def find_deletable_block(x: WeightedWord, letters=None):
 def minimal_fiber_words(group: AbelianGroup, total) -> tuple:
     """All weight words with the given sum whose tail (positions 2..) has no
     nonempty zero-sum subsequence; the head absorbs the rest of the sum."""
-    results = []
-
-    def rec(tail: tuple, sums: frozenset):
-        head = group.add(total, group.neg(group.sum(tail)))
-        results.append((head,) + tail)
-        for w in group.elements():
-            if w == group.identity() or group.neg(w) in sums:
-                continue
-            new_sums = frozenset({w}) | sums | frozenset(group.add(a, w) for a in sums)
-            rec(tail + (w,), new_sums)
-
-    rec((), frozenset())
+    results: list = []
+    _fiber_words(group, total, (), frozenset(), results)
     return tuple(sorted(results))
 
 
-def _interleavings(sizes):
-    """Sequences placing sizes[i] copies of fiber i, first occurrences in order."""
-    n = len(sizes)
+def _fiber_words(group: AbelianGroup, total, tail: tuple, sums: frozenset, results: list) -> None:
+    """Append to `results` the word (head,) + tail and every extension of
+    `tail` whose nonempty subsequences still avoid the sum zero; `sums` holds
+    the sums of the nonempty subsequences of `tail`."""
+    head = group.add(total, group.neg(group.sum(tail)))
+    results.append((head,) + tail)
+    for w in group.elements():
+        if w == group.identity() or group.neg(w) in sums:
+            continue
+        new_sums = frozenset({w}) | sums | frozenset(group.add(a, w) for a in sums)
+        _fiber_words(group, total, tail + (w,), new_sums, results)
 
-    def rec(remaining, opened, acc):
-        if all(v == 0 for v in remaining):
-            yield tuple(acc)
-            return
-        limit = opened + 1 if opened < n else opened
-        for i in range(limit):
-            if remaining[i]:
-                remaining[i] -= 1
-                acc.append(i)
-                yield from rec(remaining, max(opened, i + 1), acc)
-                acc.pop()
-                remaining[i] += 1
 
-    yield from rec(list(sizes), 0, [])
+def _interleavings(remaining: list, opened: int, acc: list):
+    """Sequences extending `acc` that place remaining[i] more copies of fiber
+    i, first occurrences in order: fibers below `opened` have occurred."""
+    if not any(remaining):
+        yield tuple(acc)
+        return
+    for i in range(min(opened + 1, len(remaining))):
+        if remaining[i]:
+            remaining[i] -= 1
+            acc.append(i)
+            yield from _interleavings(remaining, max(opened, i + 1), acc)
+            acc.pop()
+            remaining[i] += 1
 
 
 def minimal_words_over(x: WeightedWord) -> set[WeightedWord]:
@@ -440,8 +438,7 @@ def minimal_words_over(x: WeightedWord) -> set[WeightedWord]:
     choices = [minimal_fiber_words(x.group, w) for w in x.weights]
     out: set[WeightedWord] = set()
     for fiber_words in itertools.product(*choices):
-        sizes = tuple(len(w) for w in fiber_words)
-        for pattern in _interleavings(sizes):
+        for pattern in _interleavings([len(w) for w in fiber_words], 0, []):
             counters = [0] * n
             letters = []
             weights = []
@@ -481,7 +478,7 @@ def principal_ideal_language(
         raise ValidationError("the ambient alphabet must contain the word's letters")
     group = x.group
     elements = group.elements()
-    sigma = tuple((a, w) for a in alphabet for w in elements)
+    sigma = tuple([(a, w) for a in alphabet for w in elements])
 
     branches = []
     for t in sorted(minimal_words_over(x), key=lambda w: (w.letters, w.weights)):

@@ -27,24 +27,17 @@ WreathLabel = tuple
 
 
 def wreath_labels(slots: int, total: int) -> list[WreathLabel]:
-    """All tuples of `slots` partitions with sizes summing to `total`."""
-    out: list[WreathLabel] = []
-
-    def rec(slot: int, remaining: int, acc: list):
-        if slot == slots - 1:
-            for p in partitions(remaining):
-                out.append(tuple(acc + [p]))
-            return
-        for k in range(remaining, -1, -1):
-            for p in partitions(k):
-                acc.append(p)
-                rec(slot + 1, remaining - k, acc)
-                acc.pop()
-
-    if slots == 0:
-        return [()] if total == 0 else []
-    rec(0, total, [])
-    return out
+    """All tuples of `slots` partitions with sizes summing to `total`, by the
+    size of the first partition (descending), then the first partition, then
+    the rest in the same order."""
+    # tails[r]: the labels of the last j slots of total size r, for j = 0 .. slots
+    tails = [[()] if r == 0 else [] for r in range(total + 1)]
+    for _ in range(slots):
+        tails = [
+            [(p,) + rest for k in range(r, -1, -1) for p in partitions(k) for rest in tails[r - k]]
+            for r in range(total + 1)
+        ]
+    return tails[total]
 
 
 def label_size(label: WreathLabel) -> int:
@@ -70,7 +63,7 @@ def _classes(table: CharacterTable, n: int) -> tuple[tuple[WreathLabel, int], ..
     key = ("wreath.classes", n)
     out = table.memo.get(key)
     if out is None:
-        out = tuple((label, wreath_class_size(table, n, label)) for label in wreath_labels(table.n_classes, n))
+        out = tuple([(label, wreath_class_size(table, n, label)) for label in wreath_labels(table.n_classes, n)])
         table.memo[key] = out
     return out
 
@@ -81,37 +74,35 @@ def wreath_classes(table: CharacterTable, n: int) -> list[tuple[WreathLabel, int
 
 
 def identity_label(table: CharacterTable, n: int) -> WreathLabel:
-    return tuple(
+    return tuple([
         (1,) * n if c == table.identity_class else () for c in range(table.n_classes)
-    )
+    ])
 
 
 @dataclass
 class ClassFunction:
-    """A class function on the wreath product of degree n over G."""
+    """A class function on the wreath product of degree n over G: its values
+    by class label.  It holds no table (the table's memo may hold it), so
+    whatever needs the classes of G takes the table as an argument."""
 
-    table: CharacterTable
     n: int
     values: dict
 
-    def dim(self) -> int:
-        return int(self.values[identity_label(self.table, self.n)].rational_value())
+    def dim(self, table: CharacterTable) -> int:
+        """The degree: the value at the identity of the wreath product over `table`."""
+        return int(self.values[identity_label(table, self.n)].rational_value())
 
     def __mul__(self, other: "ClassFunction") -> "ClassFunction":
         if self.n != other.n:
             raise ValidationError("class functions live on different degrees")
-        return ClassFunction(
-            self.table,
-            self.n,
-            {k: v * other.values[k] for k, v in self.values.items()},
-        )
+        return ClassFunction(self.n, {k: v * other.values[k] for k, v in self.values.items()})
 
 
-def wreath_inner_product(a: ClassFunction, b: ClassFunction) -> int:
-    """The multiplicity <a, b> over the classes of the wreath product."""
+def wreath_inner_product(table: CharacterTable, a: ClassFunction, b: ClassFunction) -> int:
+    """The multiplicity <a, b> over the classes of the wreath product over `table`."""
     if a.n != b.n:
         raise ValidationError("class functions live on different degrees")
-    classes = _classes(a.table, a.n)
+    classes = _classes(table, a.n)
     return multiplicity(
         [size for _, size in classes],
         [a.values[label] for label, _ in classes],
@@ -138,7 +129,7 @@ def wreath_irreducible_character(table: CharacterTable, lam: WreathLabel) -> Cla
 def _mn_character(table: CharacterTable, lam: WreathLabel) -> ClassFunction:
     bins = tuple(sorted(sum(p) for p in lam if p))
     if not bins:  # degree zero: the empty character
-        return ClassFunction(table, 0, {((),) * table.n_classes: CyclotomicNumber.one()})
+        return ClassFunction(0, {((),) * table.n_classes: CyclotomicNumber.one()})
     order, coords, memo = _mn_state(table)
     values = {}
     for rho, _ in _classes(table, sum(bins)):
@@ -146,7 +137,7 @@ def _mn_character(table: CharacterTable, lam: WreathLabel) -> ClassFunction:
             values[rho] = from_coordinates(order, memo.get((lam, rho)) or _mn_value(memo, order, coords, lam, rho))
         else:
             values[rho] = CyclotomicNumber.zero()
-    return ClassFunction(table, sum(bins), values)
+    return ClassFunction(sum(bins), values)
 
 
 def _mn_state(table: CharacterTable) -> tuple:
@@ -228,7 +219,7 @@ def tensor_stability_table(
         chi_l = wreath_irreducible_character(table, padded[0])
         chi_m = wreath_irreducible_character(table, padded[1])
         chi_n = wreath_irreducible_character(table, padded[2])
-        out.append(wreath_inner_product(chi_l * chi_m, chi_n))
+        out.append(wreath_inner_product(table, chi_l * chi_m, chi_n))
     return out
 
 

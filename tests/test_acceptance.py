@@ -61,7 +61,6 @@ from quasilang.wordposet import (
     validate_witness,
 )
 from quasilang import wreath
-from quasilang.grouptheory import abelian_table
 
 from oracles import IdealRecognizer, induced_monomial_image, surjection_series
 
@@ -495,10 +494,9 @@ def test_criterion_10_segre():
         check_boundary_squares_to_zero(power)
         assert homology_ranks(power, 0) == {0: 2 ** (n - 1)}
 
-    table = abelian_table(FiniteGroup.cyclic(2))
     base = segre_product(edge)
     action = GroupAction(
-        table,
+        FiniteGroup.cyclic(2),
         base,
         [{(1,): (1,), (2,): (2,)}, {(1,): (2,), (2,): (1,)}],
     )

@@ -235,7 +235,7 @@ def test_segre_product_is_budgeted(tmp_path, capsys):
     elapsed = time.monotonic() - start
     assert resp == {
         "status": "error",
-        "diagnostics": ["ValidationError: simplex budget 200000 exceeded at 301716 simplices"],
+        "diagnostics": ["ValidationError: budget: simplex budget 200000 exceeded at 301716 simplices"],
     }
     assert elapsed < 1, f"took {elapsed:.1f} s"
     # the square of an edge has 4 vertices and 2 edges
@@ -243,13 +243,13 @@ def test_segre_product_is_budgeted(tmp_path, capsys):
     product = {"cmd": "segre.product", "x": edge, "y": edge}
     assert run(dict(product, budget=6))["status"] == "ok"
     assert run(dict(product, budget=5))["diagnostics"] == [
-        "ValidationError: simplex budget 5 exceeded at 6 simplices"
+        "ValidationError: budget: simplex budget 5 exceeded at 6 simplices"
     ]
     path = tmp_path / "edges.json"
     path.write_text(json.dumps({"x": edge, "y": edge}))
     assert main(["segre.product", "--in", str(path), "--budget", "5"]) == 1
     assert json.loads(capsys.readouterr().out)["diagnostics"] == [
-        "ValidationError: simplex budget 5 exceeded at 6 simplices"
+        "ValidationError: budget: simplex budget 5 exceeded at 6 simplices"
     ]
 
 
@@ -921,7 +921,10 @@ def test_group_orders_are_budgeted_before_any_table_is_built():
 
 
 # one request per rule that a reader checks, or names with its path, where a
-# constructor or a library call used to answer without one
+# constructor or a library call used to answer without one; the budget rules
+# raised inside a Segre computation are named at the field that sets the size
+TRIANGLE = {"vertices": [1, 2, 3], "facets": [[1, 2, 3]]}
+SWAP = [[[1, 1], [2, 2]], [[1, 2], [2, 1]]]
 RULES = [
     ({"cmd": "lang.member", "dfa": dict(DFA, alphabet=["a", "a"]), "word": []}, "dfa.alphabet[1]: symbol 'a' is repeated"),
     ({"cmd": "lang.member", "dfa": DFA, "word": ["a", "c"]}, "word[1] must be a symbol of dfa.alphabet, got 'c'"),
@@ -969,6 +972,14 @@ RULES = [
     (
         {"cmd": "segre.series", "complex": EDGE, "group": Z2, "action": [[[1, 1], [2, 2]]], "i": 0},
         "action: need one vertex permutation per group element",
+    ),
+    (
+        {"cmd": "segre.product", "x": TRIANGLE, "y": TRIANGLE, "budget": 5},
+        "budget: simplex budget 5 exceeded at 33 simplices",
+    ),
+    (
+        {"cmd": "segre.series", "complex": EDGE, "group": Z2, "action": SWAP, "i": 0, "nmax": 3, "budget": 3},
+        "nmax: simplex budget 3 exceeded at 6 simplices",
     ),
 ]
 

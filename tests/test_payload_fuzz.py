@@ -7,13 +7,19 @@ its list.  Numbers are never enlarged, so no mutant tests a budget.  Every
 mutant must be answered: no exception escapes `execute_request`, and no
 answer is the "bad request" backstop, which would mean a field was read
 without the payload reader's checks.  Every `ValidationError` answer names
-the JSON path of what it refuses.
+the JSON path of what it refuses.  No request, answered and dumped, leaves
+garbage that only the cyclic collector can free, and the package builds no
+tuple from a generator (see the `quasilang` docstring).
 """
 
+import ast
 import copy
+import gc
+import pathlib
 import re
 
-from quasilang.cli import HANDLERS, execute_request
+import quasilang
+from quasilang.cli import HANDLERS, dumps, execute_request
 
 STAR = {"kind": "star", "symbols": ["a", "b"]}
 EXPR = {"kind": "concat", "parts": [{"kind": "symbol", "symbol": "a"}, STAR]}
@@ -138,3 +144,45 @@ def test_one_node_mutants_are_answered_without_the_backstop():
                 path = PATH.match(message)
                 assert path and path.group(1) in FIELDS[cmd], (cmd, what, message)
     assert count > 4000
+
+
+def test_requests_leave_no_cyclic_garbage():
+    """With the collector off, everything a request allocates stays in
+    generation 0, so collecting that generation after the answer is dumped
+    finds everything the request left in reference cycles: nothing, for
+    every corpus request and every mutant."""
+    requests = [(req["cmd"], "as is", copy.deepcopy(req)) for req in CORPUS]
+    requests += [(req["cmd"], what, mutant) for req in CORPUS for what, mutant in mutants(req)]
+    enabled = gc.isenabled()
+    try:
+        for cmd, what, request in requests:
+            gc.collect(0)
+            gc.disable()
+            dumps(execute_request(request))
+            assert gc.collect(0) == 0, (cmd, what)
+    finally:
+        if enabled:
+            gc.enable()
+
+
+def _lazy(node) -> bool:
+    """Whether the expression is a generator or a map, zip or filter call."""
+    if isinstance(node, ast.GeneratorExp):
+        return True
+    return isinstance(node, ast.Call) and isinstance(node.func, ast.Name) and node.func.id in ("map", "zip", "filter")
+
+
+def test_no_tuple_is_built_from_a_generator():
+    """`tuple(x for ...)`, `tuple(map(...))` and `f(*(x for ...))` allocate a
+    tuple at a guessed size and resize it, which fills CPython's tuple free
+    lists once full collections are rare; the package builds them from lists."""
+    found = []
+    for path in sorted(pathlib.Path(quasilang.__file__).parent.glob("*.py")):
+        for node in ast.walk(ast.parse(path.read_text())):
+            if not isinstance(node, ast.Call):
+                continue
+            built = node.args[:1] if isinstance(node.func, ast.Name) and node.func.id == "tuple" else []
+            starred = [a.value for a in node.args if isinstance(a, ast.Starred)]
+            if any(map(_lazy, built + starred)):
+                found.append(f"{path.name}:{node.lineno}")
+    assert not found

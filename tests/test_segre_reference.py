@@ -26,7 +26,7 @@ from hypothesis import strategies as st
 from quasilang import segre
 from quasilang.cli import execute_request
 from quasilang.errors import ValidationError
-from quasilang.grouptheory import FiniteGroup, abelian_table
+from quasilang.grouptheory import FiniteGroup
 from quasilang.segre import (
     GroupAction,
     SimplicialComplex,
@@ -398,7 +398,7 @@ def test_equivariant_hilbert_data_matches_dense_reference(m, seeds, i):
     }
     base = segre_product(SimplicialComplex(range(1, m + 1), facets))
     maps = [{(v,): (rotate(v, g),) for v in range(1, m + 1)} for g in range(m)]
-    action = GroupAction(abelian_table(FiniteGroup.cyclic(m)), base, maps)
+    action = GroupAction(FiniteGroup.cyclic(m), base, maps)
     sparse = equivariant_hilbert_data(action, i, 2)
     # the dense reference computes degrees 0..i, and its trace reads degree i
     with mock.patch.object(segre, "homology_basis", dense_homology_ranks), mock.patch.object(

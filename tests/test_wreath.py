@@ -82,7 +82,7 @@ def test_irreducible_dims_z2_n2():
     dims = []
     for lam in wreath_labels(2, 2):
         chi = wreath_irreducible_character(Z2, lam)
-        dims.append(chi.dim())
+        dims.append(chi.dim(Z2))
     assert sorted(dims) == [1, 1, 1, 1, 2]
     assert sum(d * d for d in dims) == 8
 
@@ -90,17 +90,17 @@ def test_irreducible_dims_z2_n2():
 def test_mixed_label_dimension():
     lam = ((1,), (1,))  # one point in each of the two Z/2 slots
     chi = wreath_irreducible_character(Z2, lam)
-    assert chi.dim() == 2
+    assert chi.dim(Z2) == 2
 
 
 @pytest.mark.parametrize("table,n", [(Z2, 2), (Z2, 3), (Z3, 2), (S3, 2)])
 def test_wreath_characters_orthonormal(table, n):
     labels = wreath_labels(len(table.rows), n)
     chars = [wreath_irreducible_character(table, lam) for lam in labels]
-    assert sum(c.dim() ** 2 for c in chars) == wreath_group_order(table, n)
+    assert sum(c.dim(table) ** 2 for c in chars) == wreath_group_order(table, n)
     for i, a in enumerate(chars):
         for j, b in enumerate(chars):
-            assert wreath_inner_product(a, b) == (1 if i == j else 0)
+            assert wreath_inner_product(table, a, b) == (1 if i == j else 0)
 
 
 def test_trivial_group_degenerates_to_symmetric_characters():
