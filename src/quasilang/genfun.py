@@ -706,7 +706,8 @@ def certify_unambiguous(expr, alphabet) -> Dfa:
         dfas = [certify_unambiguous(p, symbols) for p in expr.parts]
         for i in range(len(dfas)):
             for j in range(i + 1, len(dfas)):
-                if not intersect_dfa(dfas[i], dfas[j]).is_empty():
+                both = intersect_dfa(dfas[i], dfas[j])
+                if both.start in both.live_states():
                     raise AmbiguousExpressionError(
                         f"union branches {i} and {j} overlap"
                     )

@@ -186,21 +186,6 @@ class FiniteGroup:
             for b in range(a)
         )
 
-    def conjugacy_classes(self) -> list[tuple[int, ...]]:
-        """Classes as sorted index tuples, ordered by their minimal element."""
-        n = self.order
-        assigned = [False] * n
-        classes = []
-        for x in range(n):
-            if assigned[x]:
-                continue
-            orbit = {self.table[self.table[g][x]][self.inverse[g]] for g in range(n)}
-            for y in orbit:
-                assigned[y] = True
-            classes.append(tuple(sorted(orbit)))
-        classes.sort(key=lambda c: c[0])
-        return classes
-
     # -- constructors ---------------------------------------------------------
 
     @classmethod
@@ -426,41 +411,20 @@ def symmetric_table(n: int, group: FiniteGroup | None = None) -> CharacterTable:
     )
 
 
-def product_table(ta: CharacterTable, tb: CharacterTable, group: FiniteGroup | None = None) -> CharacterTable:
-    order = lcm(ta.order, tb.order)
-    sizes = []
-    rows = []
-    class_names = []
-    for sa, sb in itertools.product(ta.class_sizes, tb.class_sizes):
-        sizes.append(sa * sb)
-    for na, nb in itertools.product(ta.class_names, tb.class_names):
-        class_names.append((na, nb))
-    row_names = []
-    for ia in range(len(ta.rows)):
-        for ib in range(len(tb.rows)):
-            row_names.append((ta.row_names[ia], tb.row_names[ib]))
-            rows.append(
-                [
-                    va * vb
-                    for va, vb in itertools.product(ta.rows[ia], tb.rows[ib])
-                ]
-            )
-    identity_class = ta.identity_class * tb.n_classes + tb.identity_class
+def product_table(ta: CharacterTable, tb: CharacterTable) -> CharacterTable:
+    """The table of the direct product: rows, classes and elements in
+    `itertools.product` order over those of ta and tb.  Elements are bound
+    to classes when both factors bind theirs."""
     element_class = None
-    if group is not None and ta.element_class is not None and tb.element_class is not None:
-        nb_elems = len(tb.element_class)
-        element_class = []
-        for a in range(len(ta.element_class)):
-            for b in range(nb_elems):
-                element_class.append(ta.element_class[a] * tb.n_classes + tb.element_class[b])
-        element_class = tuple(element_class)
+    if ta.element_class is not None and tb.element_class is not None:
+        element_class = [a * tb.n_classes + b for a, b in itertools.product(ta.element_class, tb.element_class)]
     return CharacterTable(
-        order=order,
-        class_sizes=sizes,
-        rows=rows,
-        identity_class=identity_class,
-        row_names=row_names,
-        class_names=class_names,
+        order=lcm(ta.order, tb.order),
+        class_sizes=[sa * sb for sa, sb in itertools.product(ta.class_sizes, tb.class_sizes)],
+        rows=[[a * b for a, b in itertools.product(ra, rb)] for ra, rb in itertools.product(ta.rows, tb.rows)],
+        identity_class=ta.identity_class * tb.n_classes + tb.identity_class,
+        row_names=list(itertools.product(ta.row_names, tb.row_names)),
+        class_names=list(itertools.product(ta.class_names, tb.class_names)),
         element_class=element_class,
     )
 
@@ -493,7 +457,7 @@ def character_table(group: FiniteGroup) -> CharacterTable:
     elif kind == "product":
         ta = character_table(group.kind[1])
         tb = character_table(group.kind[2])
-        table = product_table(ta, tb, group)
+        table = product_table(ta, tb)
     elif group.is_abelian():
         table = abelian_table(group)
     else:
@@ -527,7 +491,6 @@ def validate_embedding(G: FiniteGroup, H: FiniteGroup, embedding) -> None:
 def _restriction_columns(G: FiniteGroup, H: FiniteGroup, embedding, linear_only: bool) -> list[list[int]]:
     """The restriction matrix, or only its columns at the linear characters
     (the degree-1 rows) of H when `linear_only`."""
-    validate_embedding(G, H, embedding)
     emb = tuple(embedding)
     tG, tH = character_table(G), character_table(H)
     reps = tH.representatives()
@@ -540,7 +503,9 @@ def _restriction_columns(G: FiniteGroup, H: FiniteGroup, embedding, linear_only:
 
 
 def restriction_matrix(G: FiniteGroup, H: FiniteGroup, embedding) -> list[list[int]]:
-    """Multiplicities <Res V, W>_H: rows over irr(G), columns over irr(H)."""
+    """Multiplicities <Res V, W>_H: rows over irr(G), columns over irr(H).
+    The embedding must be an injective homomorphism H -> G, as
+    `validate_embedding` checks; it is not checked again here."""
     return _restriction_columns(G, H, embedding, False)
 
 
@@ -630,7 +595,9 @@ def is_good_family(G: FiniteGroup, subgroups, covering_only: bool = False) -> di
     """Test whether restriction (then abelianization) to the given subgroups
     is a split injection of representation rings.
 
-    `subgroups` is a list of (H, embedding) pairs.  The linear characters of
+    `subgroups` is a list of (H, embedding) pairs, each embedding an
+    injective homomorphism H -> G (see `validate_embedding`; it is not
+    checked again here).  The linear characters of
     H, the characters of H^ab, are the degree-1 rows of its character table,
     and <Res V, lambda>_H for linear lambda is the column of lambda in the
     restriction matrix, so each H contributes those columns (every column

@@ -220,19 +220,6 @@ class Dfa:
             stack.extend(new)
         return live
 
-    def is_empty(self) -> bool:
-        seen = {self.start}
-        stack = [self.start]
-        while stack:
-            q = stack.pop()
-            if q in self.accepting:
-                return False
-            for t in self.delta[q]:
-                if t not in seen:
-                    seen.add(t)
-                    stack.append(t)
-        return True
-
 
 def _canonicalize(alphabet, delta, start, accepting) -> Dfa:
     """Renumber reachable states in BFS order (alphabet order for ties)."""

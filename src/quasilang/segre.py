@@ -8,7 +8,10 @@ to square to zero and each reduced once by one sparse exact elimination, and
 rank H_i = |C_i| - rank d_i - rank d_(i+1).  Equivariant traces need a basis
 of one degree only: its cycles and the boundaries go into an echelon form
 whose rows remember the basis cycles they came from, and the image of each
-basis cycle under a group element reduces against that form.
+basis cycle under a group element reduces against that form.  The character
+table of G^n is `grouptheory.product_table` folded over the table of G, and
+each multiplicity in H_i(X^(*n)) is `grouptheory.multiplicity` of one of its
+rows against the traces.
 """
 
 from __future__ import annotations
@@ -20,7 +23,7 @@ from fractions import Fraction
 
 from .cyclotomic import CyclotomicNumber
 from .errors import Payload, ValidationError
-from .grouptheory import FiniteGroup, character_table
+from .grouptheory import FiniteGroup, character_table, multiplicity, product_table
 
 DEFAULT_SIMPLEX_BUDGET = 200_000
 
@@ -320,56 +323,33 @@ def equivariant_hilbert_data(
     budget: int = DEFAULT_SIMPLEX_BUDGET,
 ) -> list[dict]:
     """For each n <= n_max, the character of G^n on H_i(X^(*n)) pushed to the
-    monomial image: a dict exponent-vector (over irr(G)) -> multiplicity."""
-    action_table, group = action.table, action.group
-    vertex_maps = action.vertex_maps
-    x = action.complex
+    monomial image: a dict exponent-vector (over irr(G)) -> multiplicity.
+
+    The table of G^n folds `product_table` n - 1 times, so its rows and
+    classes run in `itertools.product` order over those of G, and each trace
+    is read at a tuple of class representatives.  A row's multiplicity is
+    `multiplicity` with the row first: the traces are rational, so the
+    conjugated side is the cheap one."""
+    table, x = action.table, action.complex
+    reps = table.representatives()
+    n_irr = len(table.rows)
+    power_table = table
     results = []
-    class_reps = [cls[0] for cls in group.conjugacy_classes()]
-    # bind table classes to group classes via element_class
-    rep_class = [action_table.element_class[r] for r in class_reps]
-    n_irr = len(action_table.rows)
-    # conj[j][r]: conjugate of irreducible j at class representative r.  The
-    # traces are rational, so a character and its conjugate get the same
-    # multiplicity and dropping the conjugation would change no output; it is
-    # kept so that each multiplicity is the inner product <trace, chi_js>.
-    conj = [[row[c].conjugate() for c in rep_class] for row in action_table.rows]
-    rep_sizes = [action_table.class_sizes[c] for c in rep_class]
     for n in range(1, n_max + 1):
+        if n > 1:
+            power_table = product_table(power_table, table)
         power = segre_product(*[x] * n, budget=budget)
         homology = homology_basis(power, i)
-        traces = {}
-        for combo in itertools.product(range(len(class_reps)), repeat=n):
-            vmap = {}
-            for v in power.vertices:
-                vmap[v] = tuple([
-                    vertex_maps[class_reps[combo[k]]][v[k]] for k in range(n)
-                ])
-            traces[combo] = equivariant_trace(power, homology, i, vmap)
-        # each nonzero trace times the size of its class tuple
-        weighted = []
-        for combo, tr in traces.items():
-            if tr:
-                for r in combo:
-                    tr *= rep_sizes[r]
-                weighted.append((combo, CyclotomicNumber.from_rational(tr)))
+        traces = []
+        for combo in itertools.product(reps, repeat=n):
+            maps = [action.vertex_maps[g] for g in combo]
+            vmap = {v: tuple([m[w] for m, w in zip(maps, v)]) for v in power.vertices}
+            traces.append(CyclotomicNumber.from_rational(equivariant_trace(power, homology, i, vmap)))
         poly: dict = {}
-        order_n = group.order**n
-        for js in itertools.product(range(n_irr), repeat=n):
-            total = CyclotomicNumber.zero()
-            for combo, val in weighted:
-                for j, r in zip(js, combo):
-                    val = val * conj[j][r]
-                total = total + val
-            total = total * Fraction(1, order_n)
-            q = total.rational_value()
-            if q.denominator != 1 or q < 0:
-                raise ValidationError(f"non-integral equivariant multiplicity {q}")
+        for js, row in zip(itertools.product(range(n_irr), repeat=n), power_table.rows):
+            q = multiplicity(power_table.class_sizes, row, traces, "equivariant multiplicity")
             if q:
-                content = [0] * n_irr
-                for j in js:
-                    content[j] += 1
-                key = tuple(content)
-                poly[key] = poly.get(key, 0) + int(q)
+                key = tuple([js.count(j) for j in range(n_irr)])
+                poly[key] = poly.get(key, 0) + q
         results.append(poly)
     return results

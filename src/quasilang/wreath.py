@@ -192,12 +192,10 @@ def pad_label(table: CharacterTable, lam: WreathLabel, n: int) -> WreathLabel | 
     triv = table.trivial_index()
     head = n - label_size(lam)
     first = lam[triv][0] if lam[triv] else 0
-    if head < first or head < 0:
+    if head < first:
         return None
     padded = list(lam)
     padded[triv] = ((head,) + lam[triv]) if head > 0 else lam[triv]
-    if head == 0 and lam[triv]:
-        return None
     return tuple(padded)
 
 

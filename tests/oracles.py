@@ -19,6 +19,9 @@ Not a test module (pytest does not collect it); test files import it by name.
 - `is_homomorphism_on_all_pairs` tests emb(ab) = emb(a) emb(b) at all |H|^2
   pairs, the oracle for the generator check of
   `grouptheory.validate_embedding`.
+- `conjugacy_classes` conjugates each element by every element of the
+  group, the brute-force reference for the class columns of
+  `grouptheory.character_table` and for `wreath.wreath_classes`.
 - `moore_minimize` refines with one tuple signature per state and renumbers
   the blocks by its own breadth-first walk, the oracle for the column
   kernel of `langkit._minimize`.
@@ -334,6 +337,22 @@ def is_homomorphism_on_all_pairs(G: FiniteGroup, H: FiniteGroup, emb) -> bool:
     return all(
         emb[H.table[a][b]] == G.table[emb[a]][emb[b]] for a in range(H.order) for b in range(H.order)
     )
+
+
+def conjugacy_classes(group: FiniteGroup) -> list[tuple[int, ...]]:
+    """Classes as sorted index tuples, ordered by their minimal element: the
+    orbit of each element under conjugation by every element of the group."""
+    n = group.order
+    assigned = [False] * n
+    classes = []
+    for x in range(n):
+        if assigned[x]:
+            continue
+        orbit = {group.table[group.table[g][x]][group.inverse[g]] for g in range(n)}
+        for y in orbit:
+            assigned[y] = True
+        classes.append(tuple(sorted(orbit)))
+    return classes
 
 
 # ---------------------------------------------------------------------------

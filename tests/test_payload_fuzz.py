@@ -15,6 +15,7 @@ tuple from a generator (see the `quasilang` docstring).
 import ast
 import copy
 import gc
+import itertools
 import pathlib
 import re
 
@@ -40,6 +41,7 @@ Z2 = {"construct": "cyclic", "n": 2}
 S3 = {"construct": "symmetric", "n": 3}
 TRIVIAL = {"table": [[0]], "name": "1"}
 EDGE = {"vertices": [1, 2], "facets": [[1, 2]]}
+TRIANGLE = {"vertices": [1, 2, 3], "facets": [[1, 2], [2, 3], [1, 3]]}  # its boundary
 SQUARE = {"vertices": [[1, 1], [1, 2], [2, 1], [2, 2]], "facets": [[[1, 1], [2, 2]], [[1, 2], [2, 1]]]}
 
 CORPUS = [
@@ -74,6 +76,14 @@ CORPUS = [
         "group": Z2,
         "action": [[[1, 1], [2, 2]], [[1, 2], [2, 1]]],
         "i": 0,
+        "nmax": 2,
+    },
+    {
+        "cmd": "segre.series",
+        "complex": TRIANGLE,
+        "group": S3,
+        "action": [[[v, p[v - 1] + 1] for v in (1, 2, 3)] for p in itertools.permutations(range(3))],
+        "i": 1,
         "nmax": 2,
     },
 ]

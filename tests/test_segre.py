@@ -206,8 +206,8 @@ def direct_multiplicities(action, i, n):
 @pytest.mark.parametrize("i", [0, 1])
 def test_equivariant_hilbert_data_matches_element_sum(make_action, i):
     action = make_action()
-    data = equivariant_hilbert_data(action, i, 2)
-    assert data == [direct_multiplicities(action, i, n) for n in (1, 2)]
+    data = equivariant_hilbert_data(action, i, 3)
+    assert data == [direct_multiplicities(action, i, n) for n in (1, 2, 3)]
     assert any(data)
 
 

@@ -19,7 +19,7 @@ from quasilang.wreath import (
     wreath_labels,
 )
 
-from oracles import decompose_induced, induced_monomial_image, induced_wreath_character
+from oracles import conjugacy_classes, decompose_induced, induced_monomial_image, induced_wreath_character
 
 Z2 = character_table(FiniteGroup.cyclic(2))
 Z3 = character_table(FiniteGroup.cyclic(3))
@@ -52,7 +52,7 @@ def test_wreath_classes_counts_and_sizes():
     assert sum(size for _, size in classes) == wreath_group_order(Z2, 2) == 8
 
     explicit = explicit_wreath_group(FiniteGroup.cyclic(2), 2)
-    brute = explicit.conjugacy_classes()
+    brute = conjugacy_classes(explicit)
     assert len(brute) == 5
     assert sorted(len(c) for c in brute) == sorted(size for _, size in classes)
 
@@ -61,7 +61,7 @@ def test_wreath_classes_z3_n2_against_brute_force():
     classes = wreath_classes(Z3, 2)
     assert sum(size for _, size in classes) == 18
     explicit = explicit_wreath_group(FiniteGroup.cyclic(3), 2)
-    brute = explicit.conjugacy_classes()
+    brute = conjugacy_classes(explicit)
     assert len(brute) == len(classes)
     assert sorted(len(c) for c in brute) == sorted(size for _, size in classes)
 
@@ -124,6 +124,9 @@ def test_pad_label():
     lam2 = tuple((2,) if i == triv_slot else () for i in range(2))
     assert pad_label(Z2, lam2, 3) is None  # head 1 < first part 2
     assert pad_label(Z2, lam2, 4) is not None
+    # n = |lam|: no room for a head part
+    assert pad_label(Z2, lam2, 2) is None  # lam(triv) = (2,) is not empty
+    assert pad_label(Z2, lam, 1) == lam  # lam(triv) is empty: lam as it is
 
 
 def test_stability_trivial_group():
