@@ -329,15 +329,15 @@ def equivariant_hilbert_data(
     classes run in `itertools.product` order over those of G, and each trace
     is read at a tuple of class representatives.  A row's multiplicity is
     `multiplicity` with the row first: the traces are rational, so the
-    conjugated side is the cheap one."""
+    conjugated side is the cheap one.  The table has |G|^(2n) entries, so it
+    is folded only once X^(*n) has passed the budget and a trace is nonzero;
+    a zero H_i, all of whose traces are zero, gives {} without it."""
     table, x = action.table, action.complex
     reps = table.representatives()
     n_irr = len(table.rows)
-    power_table = table
+    power_table, folded = table, 1
     results = []
     for n in range(1, n_max + 1):
-        if n > 1:
-            power_table = product_table(power_table, table)
         power = segre_product(*[x] * n, budget=budget)
         homology = homology_basis(power, i)
         traces = []
@@ -346,10 +346,14 @@ def equivariant_hilbert_data(
             vmap = {v: tuple([m[w] for m, w in zip(maps, v)]) for v in power.vertices}
             traces.append(CyclotomicNumber.from_rational(equivariant_trace(power, homology, i, vmap)))
         poly: dict = {}
+        results.append(poly)
+        if not any(traces):
+            continue
+        while folded < n:
+            power_table, folded = product_table(power_table, table), folded + 1
         for js, row in zip(itertools.product(range(n_irr), repeat=n), power_table.rows):
             q = multiplicity(power_table.class_sizes, row, traces, "equivariant multiplicity")
             if q:
                 key = tuple([js.count(j) for j in range(n_irr)])
                 poly[key] = poly.get(key, 0) + q
-        results.append(poly)
     return results

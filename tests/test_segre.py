@@ -272,6 +272,38 @@ def test_series_budget_refuses_a_power_before_building_it():
     assert execute_request(dict(req, nmax=2))["status"] == "ok"
 
 
+def test_series_builds_no_power_table_it_does_not_need():
+    """The table of (Z/100)^2 has 10^8 entries.  A zero H_1 (Z/100 fixing a
+    point) needs none of it, and a square past the budget (Z/100 fixing 11
+    isolated points, budget 100) is refused before it is built."""
+    group = {"construct": "cyclic", "n": 100}
+    point = {
+        "cmd": "segre.series",
+        "complex": {"vertices": [1], "facets": [[1]]},
+        "group": group,
+        "action": [[[1, 1]]] * 100,
+        "i": 1,
+        "nmax": 2,
+    }
+    points = {
+        "cmd": "segre.series",
+        "complex": {"vertices": list(range(11)), "facets": []},
+        "group": group,
+        "action": [[[v, v] for v in range(11)]] * 100,
+        "i": 0,
+        "nmax": 2,
+        "budget": 100,
+    }
+    start = time.monotonic()
+    assert execute_request(point) == {"status": "ok", "result": [[], []]}
+    assert execute_request(points) == {
+        "status": "error",
+        "diagnostics": ["ValidationError: nmax: simplex budget 100 exceeded at 121 simplices"],
+    }
+    elapsed = time.monotonic() - start
+    assert elapsed < 1, f"took {elapsed:.1f} s"
+
+
 def test_projective_plane_needs_a_non_unit_pivot():
     """The 6-vertex RP^2 has rational homology of a point; its boundary
     elimination meets a pivot that is not +-1, so entries become Fractions."""
